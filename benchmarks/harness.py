@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from collections.abc import Iterable
+from pathlib import Path
 
 from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
 from repro.kernels import KERNELS
@@ -85,9 +86,11 @@ def run_texture(mode: str, use_hw: bool, num_cores: int = 1) -> ExecutionReport:
     return run.report
 
 
-#: File the regenerated tables are appended to (next to the benchmark run),
-#: so the rows survive pytest's output capture of passing tests.
-TABLES_PATH = "benchmark_tables.txt"
+#: File the regenerated tables are appended to, so the rows survive pytest's
+#: output capture of passing tests.  Anchored at the repository root and
+#: emptied once per pytest session (``benchmarks/conftest.py``), so it holds
+#: exactly one copy of the tables the session regenerated.
+TABLES_PATH = Path(__file__).resolve().parent.parent / "benchmark_tables.txt"
 
 
 def print_table(title: str, headers: Iterable[str], rows: Iterable[Iterable]) -> None:

@@ -35,6 +35,24 @@ def _port_limited(warps: int, threads: int) -> VortexConfig:
     ).with_warps_threads(warps, threads)
 
 
+def _store_storm(warps: int, threads: int) -> VortexConfig:
+    """1-port D$ in front of an 800-cycle DRAM: stores back up behind the full
+    DRAM queue, so whole store tails are refused every cycle."""
+    return VortexConfig(
+        dcache=CacheConfig(size=16 * 1024, num_banks=4, num_ports=1),
+        memory=MemoryConfig(latency=800),
+    ).with_warps_threads(warps, threads)
+
+
+def _wide_ported(warps: int, threads: int) -> VortexConfig:
+    """8-port 64 KiB D$: multi-lane hit and MSHR-merge runs, cut off by the
+    free ports and the per-cycle thread budget."""
+    return VortexConfig(
+        dcache=CacheConfig(size=64 * 1024, num_banks=8, num_ports=8),
+        memory=MemoryConfig(latency=10),
+    ).with_warps_threads(warps, threads)
+
+
 def smoke_scenarios() -> list:
     """(name, kernel, size, config) rows covering the fast-forward surface."""
     return [
@@ -46,6 +64,8 @@ def smoke_scenarios() -> list:
             8 * 8,
             _port_limited(4, 32).with_cache_hierarchy(enable_l2=True, enable_l3=True),
         ),
+        ("vecadd_1p32t_dram800", "vecadd", 256, _store_storm(8, 32)),
+        ("sgemm_8p32t_64k", "sgemm", 16 * 16, _wide_ported(4, 32)),
     ]
 
 

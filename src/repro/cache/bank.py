@@ -54,6 +54,10 @@ class CacheBank:
         self._tags: list[dict[int, int]] = [dict() for _ in range(self.num_sets)]
         self._use_counter = 0
         self.mshr = Mshr(config.mshr_size)
+        # Ordered by ready cycle: every response is scheduled ``hit_latency``
+        # (a constant) after the owning cache's forward-only clock, so an
+        # append never precedes an earlier-ready entry and the due responses
+        # always form a prefix.
         self._pending: list[_ScheduledResponse] = []
         self.perf = PerfCounters(f"bank{bank_id}")
 
@@ -79,11 +83,15 @@ class CacheBank:
         return relative // self.num_sets in self._tags[relative % self.num_sets]
 
     @hot_path
-    def touch(self, line_address: int) -> None:
-        """Update LRU state for a hit."""
+    def touch(self, line_address: int, count: int = 1) -> None:
+        """Update LRU state for ``count`` consecutive hits on one line.
+
+        ``count`` back-to-back touches leave the same state as one touch
+        that advances the use counter by ``count``.
+        """
         set_index = self._set_index(line_address)
         tag = self._tag_of(line_address)
-        self._use_counter += 1
+        self._use_counter += count
         self._tags[set_index][tag] = self._use_counter
 
     def install(self, line_address: int) -> int | None:
@@ -169,6 +177,14 @@ class CacheBank:
             _ScheduledResponse(ready_cycle=cycle + self.config.hit_latency, request=request, hit=hit)
         )
 
+    @hot_path
+    def schedule_responses(self, requests: list[BankRequest], cycle: int, hit: bool) -> None:
+        """:meth:`schedule_response` for each of ``requests``, in order."""
+        ready_cycle = cycle + self.config.hit_latency
+        pending = self._pending
+        for request in requests:
+            pending.append(_ScheduledResponse(ready_cycle, request, hit))
+
     def next_response_cycle(self) -> int | None:
         """Earliest cycle a scheduled response completes (``None`` when idle).
 
@@ -176,17 +192,18 @@ class CacheBank:
         during a skipped window; outstanding *misses* need no entry here
         because their fills are visible as lower-level (cache/DRAM) events.
         """
-        if not self._pending:
-            return None
-        return min(entry.ready_cycle for entry in self._pending)
+        return self._pending[0].ready_cycle if self._pending else None
 
     def collect_responses(self, cycle: int) -> list[tuple[BankRequest, bool]]:
         """Return (request, hit) pairs whose responses complete at ``cycle``."""
-        if not self._pending:
+        pending = self._pending
+        due = 0
+        while due < len(pending) and pending[due].ready_cycle <= cycle:
+            due += 1
+        if not due:
             return []
-        ready = [entry for entry in self._pending if entry.ready_cycle <= cycle]
-        if ready:
-            self._pending = [entry for entry in self._pending if entry.ready_cycle > cycle]
+        ready = pending[:due]
+        del pending[:due]
         return [(entry.request, entry.hit) for entry in ready]
 
     def fill(self, line_address: int, cycle: int) -> list[BankRequest]:

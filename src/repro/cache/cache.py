@@ -18,12 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
+from operator import itemgetter
 from typing import Any
 
 from repro.cache.bank import BankRequest, CacheBank
 from repro.common.config import CacheConfig
 from repro.common.perf import PerfCounters, hot_path
 from repro.trace.events import NO_WARP
+
+#: The bank field of a batched request entry ``(address, line, bank_id, ...)``.
+_BANK_OF = itemgetter(2)
 
 
 @dataclass
@@ -105,11 +109,13 @@ class NonBlockingCache:
     )
 
     #: Construction-time wiring and hot-path prebinds (vxlint VX007):
+    #: ``name`` is identity (the memory subsystem keys snapshots by it),
     #: ``lower`` is topology, ``_line_size``/``_num_banks``/``_num_ports``
     #: derive from config and ``_counters`` aliases ``perf._counters``
     #: (serialized under the ``"perf"`` key).
     SNAPSHOT_EXCLUDED = frozenset(
         {
+            "name",
             "config",
             "lower",
             "_line_size",
@@ -137,7 +143,6 @@ class NonBlockingCache:
         self.trace_core = -1
         # Per-cycle bank selector state: bank -> (first line address, accept count).
         self._accepts_this_cycle: dict[int, tuple[int, int]] = {}
-        self._responses: list[CacheResponse] = []
         # Hot-path bindings: :meth:`send_raw` runs once per request *attempt*
         # (the cycle-level core retries refusals every cycle), so the
         # per-attempt constants and the raw counter dict are prebound.
@@ -365,14 +370,26 @@ class NonBlockingCache:
         keeps its tuple in the returned retry list and does *not* consume
         budget, exactly like the per-lane ``send_raw`` loop.
 
+        Arbitration is decided once per *run*: a maximal stretch of
+        consecutive entries on the same line, hence the same bank.  Every
+        lane of a run meets the same bank-selector state and a refusal
+        mutates nothing, so a refused head (bank conflict, MSHR early-full,
+        sticky lower refusal) refuses the whole run.  A hit or MSHR-merge
+        head accepts as many lanes as the free ports and the budget allow,
+        with one probe and one LRU update; the rest of the run is then
+        judged again from its next lane.  Decisions that change what the
+        next lane sees — a new MSHR allocation, a non-sticky lower refusal —
+        cover only the head, and each write-through still makes its own
+        lower-level call.
+
         Returns ``(accepted, refused, budget)`` where ``refused`` preserves
         order: refused attempts first, then the un-attempted tail once the
-        budget ran out.  Counter updates are aggregated in locals and
-        flushed once, but count per-attempt outcomes identically to
-        ``send_raw`` — bit-identical counters are the contract
-        (``tests/test_cache.py`` holds both paths to it with a property
-        test).  The arbitration logic is :meth:`_arbitration_refusal`
-        inlined; keep them in sync.
+        budget ran out.  Counters are aggregated in locals and flushed once
+        and trace events are emitted per lane, both exactly as the
+        per-attempt ``send_raw`` loop charges them — bit-identical counters
+        and traces are the contract (``tests/test_cache.py`` holds both
+        paths to it with property tests).  The head checks are
+        :meth:`_arbitration_refusal` inlined; keep them in sync.
         """
         counters = self._counters
         accepts = self._accepts_this_cycle
@@ -380,272 +397,189 @@ class NonBlockingCache:
         num_ports = self._num_ports
         num_banks = self._num_banks
         lower = self.lower
-        cycle = self._cycle
         trace = self.trace
-        trace_core = self.trace_core
-        trace_channel = self.trace_channel
+        total = len(requests)
         # Saturation fast path: once every bank has all its ports taken this
         # cycle, the port check (which precedes every other refusal reason)
         # rejects any further request as a bank conflict without touching any
-        # state — so the rest of the batch can be refused in bulk.  This is
-        # where the retry wall actually burns host time: a port-limited warp
-        # re-attempts each refused lane every cycle, and nearly all of those
-        # attempts land on saturated banks.
+        # state — so the rest of the batch can be refused in bulk.
         full_banks = 0
         for _first_line, count in accepts.values():
             if count >= num_ports:
                 full_banks += 1
         if full_banks >= num_banks and budget > 0:
-            total = len(requests)
             counters["attempts"] += total
             counters["bank_conflicts"] += total
             if trace is not None:
-                for entry in requests:
-                    trace.emit(
-                        cycle,
-                        trace_core,
-                        NO_WARP,
-                        trace_channel,
-                        "conflict",
-                        {"bank": entry[2], "line": entry[1], "write": is_write},
-                    )
+                self._trace_lanes(requests, 0, total, "conflict", is_write)
             return 0, requests, budget
         attempts = accepted_count = bank_conflicts = mshr_stalls = memq_stalls = 0
-        read_hits = read_misses = write_hits = write_misses = 0
+        read_hits = read_misses = write_hits = write_misses = skipped = 0
         # Sticky lower-level backpressure: once a DRAM-backed lower port
         # refuses, every further fill/write this cycle is provably refused
-        # too (the shared queue only fills during a drain), so the call is
-        # skipped and its refusal-side counters charged directly.
+        # too (the shared queue only fills during a drain), so the calls are
+        # skipped and their refusal-side counters charged in one flush.
         lower_sticky = lower is not None and lower.sticky_refusal
         lower_full = False
         refused: list[tuple[Any, ...]] = []
         index = 0
-        total = len(requests)
+        run_end = 0
         while index < total:
             if budget <= 0:
                 refused.extend(requests[index:])
                 break
             entry = requests[index]
-            index += 1
-            address = entry[0]
             line = entry[1]
+            if index >= run_end:
+                run_end = index + 1
+                while run_end < total and requests[run_end][1] == line:
+                    run_end += 1
+            run = run_end - index
             bank_id = entry[2]
-            attempts += 1
-
             accepted = accepts.get(bank_id)
+            count = 0
             if accepted is not None:
-                first_line, count = accepted
-                if count >= num_ports or first_line != line:
-                    bank_conflicts += 1
-                    refused.append(entry)
+                count = accepted[1]
+                if count >= num_ports or accepted[0] != line:
+                    attempts += run
+                    bank_conflicts += run
+                    refused.extend(requests[index:run_end])
                     if trace is not None:
-                        trace.emit(
-                            cycle,
-                            trace_core,
-                            NO_WARP,
-                            trace_channel,
-                            "conflict",
-                            {"bank": bank_id, "line": line, "write": is_write},
-                        )
+                        self._trace_lanes(requests, index, run_end, "conflict", is_write)
+                    index = run_end
                     continue
             bank = banks[bank_id]
             mshr = bank.mshr
             if not is_write and mshr.almost_full:
-                mshr_stalls += 1
-                refused.append(entry)
+                attempts += run
+                mshr_stalls += run
+                refused.extend(requests[index:run_end])
                 if trace is not None:
-                    trace.emit(
-                        cycle,
-                        trace_core,
-                        NO_WARP,
-                        trace_channel,
-                        "mshr-stall",
-                        {"bank": bank_id, "line": line, "write": False},
-                    )
+                    self._trace_lanes(requests, index, run_end, "mshr-stall", False)
+                index = run_end
                 continue
-
+            # Lanes the head can take at most: free ports, run length, budget.
+            take = num_ports - count
+            if run < take:
+                take = run
+            if budget < take:
+                take = budget
             if is_write:
-                if lower is not None and not lower.request_write(self, address):
-                    memq_stalls += 1
-                    refused.append(entry)
-                    if trace is not None:
-                        trace.emit(
-                            cycle,
-                            trace_core,
-                            NO_WARP,
-                            trace_channel,
-                            "refusal",
-                            {"bank": bank_id, "line": line, "write": True},
-                        )
-                    if lower_sticky:
-                        # Sticky lower: no remaining write can be accepted
-                        # (every write-through needs the shared lower queue)
-                        # and refusals mutate nothing, so the tail is
-                        # classified in one pass — saturated-port entries
-                        # charge bank conflicts, the rest charge lower
-                        # refusals — exactly as the per-entry loop would.
-                        # Budget stays positive throughout (only accepts
-                        # consume it), so every tail entry counts as an
-                        # attempt.
-                        tail = requests[index:]
-                        attempts += len(tail)
-                        skipped = 0
-                        for tail_entry in tail:
-                            accepted = accepts.get(tail_entry[2])
-                            if accepted is not None and (
-                                accepted[1] >= num_ports or accepted[0] != tail_entry[1]
-                            ):
-                                bank_conflicts += 1
-                                if trace is not None:
-                                    trace.emit(
-                                        cycle,
-                                        trace_core,
-                                        NO_WARP,
-                                        trace_channel,
-                                        "conflict",
-                                        {
-                                            "bank": tail_entry[2],
-                                            "line": tail_entry[1],
-                                            "write": True,
-                                        },
-                                    )
-                            else:
-                                skipped += 1
-                                if trace is not None:
-                                    trace.emit(
-                                        cycle,
-                                        trace_core,
-                                        NO_WARP,
-                                        trace_channel,
-                                        "refusal",
-                                        {
-                                            "bank": tail_entry[2],
-                                            "line": tail_entry[1],
-                                            "write": True,
-                                        },
-                                    )
-                        if skipped:
-                            memq_stalls += skipped
-                            lower.note_skipped_refusal(skipped)
-                        refused.extend(tail)
-                        break
-                    continue
+                # Write-through, no-allocate: every lane forwards its own
+                # store to the lower level, accepted until it refuses; a
+                # write hit also updates the cached line's LRU state.
                 hit = bank.probe(line)
-                if hit:
-                    bank.touch(line)
-                    write_hits += 1
-                else:
-                    write_misses += 1
-                if trace is not None:
-                    trace.emit(
-                        cycle,
-                        trace_core,
-                        NO_WARP,
-                        trace_channel,
-                        "hit" if hit else "miss",
-                        {"bank": bank_id, "line": line, "write": True},
-                    )
-                bank.schedule_response(
-                    BankRequest(address=address, is_write=True, tag=tag, accept_cycle=cycle),
-                    cycle,
-                    hit,
-                )
+                taken = 0
+                while taken < take:
+                    if lower is not None and not lower.request_write(
+                        self, requests[index + taken][0]
+                    ):
+                        break
+                    if trace is not None:
+                        lane = index + taken
+                        kind = "hit" if hit else "miss"
+                        self._trace_lanes(requests, lane, lane + 1, kind, True)
+                    taken += 1
+                if taken:
+                    if hit:
+                        bank.touch(line, taken)
+                        write_hits += taken
+                    else:
+                        write_misses += taken
+                    lanes = self._bank_requests(requests, index, index + taken, True, tag)
+                    bank.schedule_responses(lanes, self._cycle, hit)
             elif bank.probe(line):
-                bank.touch(line)
-                bank.schedule_response(
-                    BankRequest(address=address, is_write=False, tag=tag, accept_cycle=cycle),
-                    cycle,
-                    True,
-                )
-                read_hits += 1
+                taken = take
+                bank.touch(line, taken)
+                lanes = self._bank_requests(requests, index, index + taken, False, tag)
+                bank.schedule_responses(lanes, self._cycle, True)
+                read_hits += taken
                 if trace is not None:
-                    trace.emit(
-                        cycle,
-                        trace_core,
-                        NO_WARP,
-                        trace_channel,
-                        "hit",
-                        {"bank": bank_id, "line": line, "write": False},
-                    )
+                    self._trace_lanes(requests, index, index + taken, "hit", False)
             else:
-                merged = mshr.lookup(line) is not None
-                if not merged and lower is not None:
-                    if lower_full:
-                        lower.note_skipped_refusal()
-                        memq_stalls += 1
-                        refused.append(entry)
-                        if trace is not None:
-                            trace.emit(
-                                cycle,
-                                trace_core,
-                                NO_WARP,
-                                trace_channel,
-                                "refusal",
-                                {"bank": bank_id, "line": line, "write": False},
-                            )
-                        continue
-                    if not lower.request_fill(self, line):
-                        lower_full = lower_sticky
-                        memq_stalls += 1
-                        refused.append(entry)
-                        if trace is not None:
-                            trace.emit(
-                                cycle,
-                                trace_core,
-                                NO_WARP,
-                                trace_channel,
-                                "refusal",
-                                {"bank": bank_id, "line": line, "write": False},
-                            )
-                        continue
-                mshr_entry = mshr.allocate(
-                    line,
-                    BankRequest(address=address, is_write=False, tag=tag, accept_cycle=cycle),
-                )
-                if mshr_entry is None:
-                    mshr_stalls += 1
-                    refused.append(entry)
+                mshr_entry = mshr.lookup(line)
+                if mshr_entry is not None:
+                    taken = take
+                    waiting = self._bank_requests(requests, index, index + taken, False, tag)
+                    mshr.merge(mshr_entry, waiting)
+                    read_misses += taken
                     if trace is not None:
-                        trace.emit(
-                            cycle,
-                            trace_core,
-                            NO_WARP,
-                            trace_channel,
-                            "mshr-stall",
-                            {"bank": bank_id, "line": line, "write": False},
+                        self._trace_lanes(
+                            requests, index, index + taken, "miss", False, merge=True
                         )
-                    continue
-                read_misses += 1
-                if trace is not None:
-                    payload = {"bank": bank_id, "line": line, "write": False}
-                    if merged:
-                        payload["merge"] = True
-                    trace.emit(cycle, trace_core, NO_WARP, trace_channel, "miss", payload)
-
-            count = (0 if accepted is None else accepted[1]) + 1
-            accepts[bank_id] = (line, count)
-            accepted_count += 1
-            budget -= 1
-            if count >= num_ports:
-                full_banks += 1
-                if full_banks >= num_banks and budget > 0 and index < total:
-                    remaining = total - index
-                    attempts += remaining
-                    bank_conflicts += remaining
+                else:
+                    # A new miss covers the head only: its allocation may
+                    # raise the early-full signal the next lane sees.
+                    if lower is not None:
+                        if lower_full:
+                            attempts += run
+                            memq_stalls += run
+                            skipped += run
+                            refused.extend(requests[index:run_end])
+                            if trace is not None:
+                                self._trace_lanes(requests, index, run_end, "refusal", False)
+                            index = run_end
+                            continue
+                        if not lower.request_fill(self, line):
+                            lower_full = lower_sticky
+                            attempts += 1
+                            memq_stalls += 1
+                            refused.append(entry)
+                            if trace is not None:
+                                self._trace_lanes(requests, index, index + 1, "refusal", False)
+                            index += 1
+                            continue
+                    request = BankRequest(entry[0], False, tag, self._cycle)
+                    if mshr.allocate(line, request) is None:
+                        attempts += 1
+                        mshr_stalls += 1
+                        refused.append(entry)
+                        if trace is not None:
+                            self._trace_lanes(requests, index, index + 1, "mshr-stall", False)
+                        index += 1
+                        continue
+                    taken = 1
+                    read_misses += 1
                     if trace is not None:
-                        for tail_entry in requests[index:]:
-                            trace.emit(
-                                cycle,
-                                trace_core,
-                                NO_WARP,
-                                trace_channel,
-                                "conflict",
-                                {
-                                    "bank": tail_entry[2],
-                                    "line": tail_entry[1],
-                                    "write": is_write,
-                                },
-                            )
+                        self._trace_lanes(requests, index, index + 1, "miss", False)
+
+            if taken:
+                attempts += taken
+                accepted_count += taken
+                budget -= taken
+                index += taken
+                count += taken
+                accepts[bank_id] = (line, count)
+                if count >= num_ports:
+                    full_banks += 1
+                    if full_banks >= num_banks and budget > 0 and index < total:
+                        remaining = total - index
+                        attempts += remaining
+                        bank_conflicts += remaining
+                        refused.extend(requests[index:])
+                        if trace is not None:
+                            self._trace_lanes(requests, index, total, "conflict", is_write)
+                        break
+            if is_write and taken < take:
+                # The lower level refused lane ``index``'s write-through.
+                attempts += 1
+                memq_stalls += 1
+                refused.append(requests[index])
+                if trace is not None:
+                    self._trace_lanes(requests, index, index + 1, "refusal", True)
+                index += 1
+                if lower_sticky and index < total:
+                    # Sticky lower: no later write can be accepted (every
+                    # write-through needs the shared lower queue) and
+                    # refusals mutate nothing, so the tail is classified in
+                    # one step; budget stays positive, so every tail entry
+                    # counts as an attempt.
+                    tail = total - index
+                    conflicts = self._write_tail_conflicts(requests, index)
+                    attempts += tail
+                    bank_conflicts += conflicts
+                    memq_stalls += tail - conflicts
+                    skipped += tail - conflicts
                     refused.extend(requests[index:])
                     break
 
@@ -669,7 +603,85 @@ class NonBlockingCache:
             counters["write_misses"] += write_misses
         if accepted_count:
             counters["accepted"] += accepted_count
+        if skipped and lower is not None:
+            lower.note_skipped_refusal(skipped)
         return accepted_count, refused, budget
+
+    @hot_path
+    def _write_tail_conflicts(self, requests: list[tuple[Any, ...]], start: int) -> int:
+        """How many writes of ``requests[start:]`` the port check refuses.
+
+        Called once a sticky lower level has refused a write: every later
+        write in the batch is refused, as a bank conflict where the port
+        check refuses it and as a lower-level refusal everywhere else.
+        Only banks that accepted this cycle can refuse, and when all of
+        them are out of ports their entries are counted per bank without
+        looking at lines.  With tracing on, the per-lane events are emitted
+        in order.
+        """
+        accepts = self._accepts_this_cycle
+        num_ports = self._num_ports
+        trace = self.trace
+        conflicts = 0
+        if trace is None:
+            if not accepts:
+                return 0
+            full_banks: list[int] = []
+            for bank_id, (_first_line, count) in accepts.items():
+                if count >= num_ports:
+                    full_banks.append(bank_id)
+            if len(full_banks) == len(accepts):
+                tail_banks = list(map(_BANK_OF, requests[start:]))
+                for bank_id in full_banks:
+                    conflicts += tail_banks.count(bank_id)
+                return conflicts
+        total = len(requests)
+        index = start
+        while index < total:
+            entry = requests[index]
+            line = entry[1]
+            run_end = index + 1
+            while run_end < total and requests[run_end][1] == line:
+                run_end += 1
+            accepted = accepts.get(entry[2])
+            if accepted is not None and (accepted[1] >= num_ports or accepted[0] != line):
+                conflicts += run_end - index
+                kind = "conflict"
+            else:
+                kind = "refusal"
+            if trace is not None:
+                self._trace_lanes(requests, index, run_end, kind, True)
+            index = run_end
+        return conflicts
+
+    @hot_path
+    def _bank_requests(
+        self, requests: list[tuple[Any, ...]], start: int, stop: int, is_write: bool, tag: Any
+    ) -> list[BankRequest]:
+        """Bank records for the lanes ``requests[start:stop]`` accepted this cycle."""
+        cycle = self._cycle
+        accepted: list[BankRequest] = []
+        for index in range(start, stop):
+            accepted.append(BankRequest(requests[index][0], is_write, tag, cycle))
+        return accepted
+
+    def _trace_lanes(
+        self,
+        requests: list[tuple[Any, ...]],
+        start: int,
+        stop: int,
+        kind: str,
+        is_write: bool,
+        merge: bool = False,
+    ) -> None:
+        """Emit one ``kind`` event per lane of ``requests[start:stop]`` (tracing on only)."""
+        trace = self.trace
+        for index in range(start, stop):
+            entry = requests[index]
+            payload = {"bank": entry[2], "line": entry[1], "write": is_write}
+            if merge:
+                payload["merge"] = True
+            trace.emit(self._cycle, self.trace_core, NO_WARP, self.trace_channel, kind, payload)
 
     # -- checkpoint/restore --------------------------------------------------------------------
 
@@ -678,12 +690,8 @@ class NonBlockingCache:
 
         ``encode_tag`` maps request tags to plain data (lower-level fill
         tags carry live cache references; the memory subsystem encodes them
-        by cache name).  ``_responses`` is legacy drain state that is always
-        empty between cycles — asserting it stays empty is cheaper and
-        stricter than serializing live response objects.
+        by cache name).
         """
-        if self._responses:
-            raise ValueError(f"cache {self.name!r} has undrained responses")
         return {
             "cycle": self._cycle,
             "accepts_this_cycle": dict(self._accepts_this_cycle),
@@ -696,7 +704,6 @@ class NonBlockingCache:
         self._cycle = payload["cycle"]
         self._accepts_this_cycle.clear()
         self._accepts_this_cycle.update(payload["accepts_this_cycle"])
-        self._responses.clear()
         for bank, bank_payload in zip(self.banks, payload["banks"]):
             bank.restore(bank_payload, decode_tag)
         self.perf.restore(payload["perf"])
@@ -725,16 +732,22 @@ class NonBlockingCache:
         self._cycle += 1
         if self._accepts_this_cycle:
             self._accepts_this_cycle.clear()
+        cycle = self._cycle
         responses: list[CacheResponse] = []
         for bank in self.banks:
-            for bank_request, hit in bank.collect_responses(self._cycle):
+            # A bank's pending responses are ready-cycle ordered, so a bank
+            # whose head is not due yet has nothing to collect.
+            pending = bank._pending
+            if not pending or pending[0].ready_cycle > cycle:
+                continue
+            for bank_request, hit in bank.collect_responses(cycle):
                 responses.append(
                     CacheResponse(
                         address=bank_request.address,
                         is_write=bank_request.is_write,
                         tag=bank_request.tag,
                         hit=hit,
-                        cycle=self._cycle,
+                        cycle=cycle,
                     )
                 )
         self._counters["cycles"] += 1

@@ -92,6 +92,12 @@ class Mshr:
             self.peak_occupancy = occupancy
         return entry
 
+    @hot_path
+    def merge(self, entry: MshrEntry, requests: list[Any]) -> None:
+        """Merge ``requests`` into ``entry``: :meth:`allocate` on its line, in bulk."""
+        entry.waiting.extend(requests)
+        self.merged += len(requests)
+
     # -- checkpoint/restore --------------------------------------------------------
 
     def snapshot(self, encode_request: Callable[[Any], Any]) -> dict:

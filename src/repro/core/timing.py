@@ -50,6 +50,8 @@ class _PendingMemOp:
     path entries are ``(address, to_smem)``; on the batched path they are
     ``(address, line, bank_id, to_smem)`` with the cache geometry
     precomputed once at charge time so retry cycles never re-derive it.
+    ``has_smem`` is set when an entry may target the scratchpad; ops
+    without one go straight to the data cache's batch path.
     """
 
     op_id: int
@@ -61,6 +63,15 @@ class _PendingMemOp:
     to_send: list[tuple[Any, ...]] = field(default_factory=list)
     outstanding: int = 0
     extra_latency: int = 0
+    has_smem: bool = False
+
+
+def _targets_smem(entries: list[tuple[Any, ...]]) -> bool:
+    """True when any request entry targets the scratchpad (its last field)."""
+    for entry in entries:
+        if entry[-1]:
+            return True
+    return False
 
 
 class TimingCore:
@@ -154,6 +165,9 @@ class TimingCore:
         self._writebacks: list[tuple[int, int, int, bool]] = []  # (cycle, warp, rd, float)
         self._pending_ops: dict[int, _PendingMemOp] = {}
         self._store_queue: list[tuple[int, bool]] = []  # fire-and-forget stores
+        # True exactly when the store queue holds a scratchpad store; an
+        # all-global queue skips the per-entry destination scans.
+        self._store_queue_smem = False
         self._next_op_id = 0
         self._warm_ilines: set[int] = set()
         self._pending_ifetch: dict[int, int] = {}  # warp_id -> line address awaited
@@ -177,6 +191,7 @@ class TimingCore:
         self._writebacks.clear()
         self._pending_ops.clear()
         self._store_queue.clear()
+        self._store_queue_smem = False
         self._warm_ilines.clear()
         self._pending_ifetch.clear()
         self._ifetch_to_send.clear()
@@ -279,8 +294,10 @@ class TimingCore:
                 outstanding=op_payload["outstanding"],
                 extra_latency=op_payload["extra_latency"],
             )
+            op.has_smem = _targets_smem(op.to_send)
             self._pending_ops[op.op_id] = op
         self._store_queue = [tuple(entry) for entry in payload["store_queue"]]
+        self._store_queue_smem = _targets_smem(self._store_queue)
         self._next_op_id = payload["next_op_id"]
         self._warm_ilines = set(payload["warm_ilines"])
         self._pending_ifetch = {
@@ -520,9 +537,15 @@ class TimingCore:
                     if op.to_send:
                         budget = self._send_for_op_batched(op, budget)
             if budget > 0 and self._store_queue:
-                self._store_queue, budget, _ = self._send_batch_segments(
-                    self._store_queue, budget, True, None
-                )
+                if self._store_queue_smem:
+                    self._store_queue, budget, _ = self._send_batch_segments(
+                        self._store_queue, budget, True, None
+                    )
+                    self._store_queue_smem = _targets_smem(self._store_queue)
+                else:
+                    _, self._store_queue, budget = self.dcache.send_batch(
+                        self._store_queue, budget, True, None
+                    )
             return
         if self._pending_ops:
             for op in list(self._pending_ops.values()):
@@ -542,6 +565,7 @@ class TimingCore:
                 else:
                     remaining_stores.append((address, to_smem))
             self._store_queue = remaining_stores
+            self._store_queue_smem = _targets_smem(remaining_stores)
 
     @hot_path
     def _send_for_op(self, op: _PendingMemOp, budget: int) -> int:
@@ -570,9 +594,14 @@ class TimingCore:
 
     @hot_path
     def _send_for_op_batched(self, op: _PendingMemOp, budget: int) -> int:
-        refused, budget, accepted = self._send_batch_segments(
-            op.to_send, budget, False, ("op", op.op_id)
-        )
+        if op.has_smem:
+            refused, budget, accepted = self._send_batch_segments(
+                op.to_send, budget, False, ("op", op.op_id)
+            )
+        else:
+            accepted, refused, budget = self.dcache.send_batch(
+                op.to_send, budget, False, ("op", op.op_id)
+            )
         op.to_send = refused
         op.outstanding += accepted
         self._maybe_complete_op(op)
@@ -586,9 +615,10 @@ class TimingCore:
         the per-destination batch paths.
 
         Consecutive same-destination entries go down in one ``send_batch``
-        call (one call per warp memory instruction in the common all-global
-        case); the live budget threads through so the global attempt order
+        call; the live budget threads through so the global attempt order
         and budget-cutoff point match the per-lane loop bit for bit.
+        All-global batches (the common case) skip this scan and call the
+        data cache directly.
         Returns ``(refused, budget, accepted)`` with ``refused`` preserving
         retry order.
         """
@@ -746,8 +776,11 @@ class TimingCore:
             to_send = self._request_entries(addresses)
         else:
             to_send = [(address, is_shared_address(address)) for address in addresses]
+        has_smem = _targets_smem(to_send)
         if is_store:
             self._store_queue.extend(to_send)
+            if has_smem:
+                self._store_queue_smem = True
             self.perf.incr("stores", len(addresses))
             return
 
@@ -759,6 +792,7 @@ class TimingCore:
             writes_rd=spec.writes_rd,
             kind="tex" if spec.unit == ExecUnit.TEX else "load",
             to_send=to_send,
+            has_smem=has_smem,
         )
         self._next_op_id += 1
         if spec.unit == ExecUnit.TEX and self.func.tex_unit is not None:
@@ -835,9 +869,8 @@ class TimingCore:
             horizon = self.dcache.write_refusal_horizon()
             if horizon is None or horizon <= cycle + 1:
                 return cycle + 1
-            for entry in self._store_queue:
-                if entry[-1]:  # a scratchpad store would be accepted
-                    return cycle + 1
+            if self._store_queue_smem:
+                return cycle + 1  # a scratchpad store would be accepted
         result: int | None = None
         ready_cycles = self._warp_ready_cycle
         pending_ifetch = self._pending_ifetch

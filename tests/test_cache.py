@@ -566,3 +566,160 @@ def test_smem_send_batch_matches_perlane_property(num_banks, rounds):
         ref_done = [(r.address, r.is_write, r.cycle) for r in ref.tick()]
         bat_done = [(r.address, r.is_write, r.cycle) for r in bat.tick()]
         assert ref_done == bat_done
+
+
+# -- run-granular arbitration ------------------------------------------------------------
+#
+# ``send_batch`` decides once per run of consecutive same-line entries.  The
+# strategies above draw each lane from 16 lines, so runs average about one
+# lane; these draw whole ``(line, repeat)`` runs so that multi-lane hits,
+# MSHR merges, port and budget cut-offs inside a run and sticky lower-level
+# refusals of whole runs are all exercised.
+
+_run_calls = st.lists(
+    st.tuples(
+        st.booleans(),  # is_write
+        st.integers(min_value=0, max_value=48),  # budget (often runs out mid-run)
+        st.lists(  # (line, repeat) runs
+            st.tuples(st.integers(min_value=0, max_value=11), st.integers(1, 20)),
+            max_size=6,
+        ),
+    ),
+    min_size=1,
+    max_size=2,  # calls sharing one cycle, like a core's op drain then store drain
+)
+
+_run_rounds = st.lists(
+    st.tuples(_run_calls, st.booleans()),  # (calls this cycle, deliver fills after)
+    min_size=1,
+    max_size=6,
+)
+
+#: Lower levels: non-sticky ``_ScriptedLower(refuse_every)`` or sticky
+#: ``_StickyQueueLower(capacity)``.
+_run_lowers = st.sampled_from(
+    [
+        ("scripted", 0),
+        ("scripted", 2),
+        ("scripted", 3),
+        ("sticky", 1),
+        ("sticky", 2),
+        ("sticky", 5),
+    ]
+)
+
+
+def _run_addresses(runs):
+    """Lane addresses of ``(line, repeat)`` runs: distinct words of each line."""
+    return [line * 64 + (lane % 16) * 4 for line, repeat in runs for lane in range(repeat)]
+
+
+def _deep_state(cache):
+    """``_cache_state`` plus LRU stamps and every MSHR waiting list."""
+    state = _cache_state(cache)
+    state["lru"] = [(bank._use_counter, bank._tags) for bank in cache.banks]
+    state["waiting"] = [
+        [
+            (line, [(r.address, r.is_write, r.tag, r.accept_cycle) for r in entry.waiting])
+            for line, entry in bank.mshr._entries.items()
+        ]
+        for bank in cache.banks
+    ]
+    state["merged"] = [bank.mshr.merged for bank in cache.banks]
+    return state
+
+
+def _make_lower(kind, value):
+    return _ScriptedLower(value) if kind == "scripted" else _StickyQueueLower(value)
+
+
+def _lower_state(lower):
+    if isinstance(lower, _ScriptedLower):
+        return (lower.fills, lower.writes, lower.calls)
+    return (lower.queue, lower.rejected)
+
+
+def _deliver_fills(cache, lower):
+    """Return every requested line to ``cache`` (the shared queue drains first)."""
+    if isinstance(lower, _ScriptedLower):
+        lines, lower.fills = lower.fills, []
+    else:
+        lines = [payload for kind, payload in lower.drain() if kind == "fill"]
+    for line in lines:
+        cache.fill(line)
+
+
+def _check_runs_against_perlane(num_banks, num_ports, mshr_size, lower_kind, rounds, traced):
+    from repro.trace.bus import TraceBus
+    from repro.trace.sinks import MemorySink
+
+    config = CacheConfig(
+        size=4 * 1024, line_size=64, num_banks=num_banks, num_ports=num_ports,
+        mshr_size=mshr_size, hit_latency=2,
+    )
+    ref_lower, bat_lower = _make_lower(*lower_kind), _make_lower(*lower_kind)
+    reference = NonBlockingCache("ref", config, lower=ref_lower)
+    batched = NonBlockingCache("bat", config, lower=bat_lower)
+    sinks = []
+    if traced:
+        for cache in (reference, batched):
+            sink = MemorySink()
+            cache.trace = TraceBus([sink])
+            cache.trace_channel = "dcache"
+            cache.trace_core = 0
+            sinks.append(sink)
+    for calls, deliver in rounds:
+        for is_write, budget, runs in calls:
+            entries = _entries_for(reference, _run_addresses(runs))
+            ref_out = _perlane_reference(reference, list(entries), budget, is_write, "t")
+            bat_out = batched.send_batch(list(entries), budget, is_write, "t")
+            assert bat_out == ref_out
+            assert _deep_state(reference) == _deep_state(batched)
+            assert _lower_state(ref_lower) == _lower_state(bat_lower)
+        if deliver:
+            _deliver_fills(reference, ref_lower)
+            _deliver_fills(batched, bat_lower)
+        elif isinstance(ref_lower, _StickyQueueLower):
+            ref_lower.drain()  # the shared queue frees up between cycles
+            bat_lower.drain()
+        assert _drain_responses(reference, 1) == _drain_responses(batched, 1)
+    _deliver_fills(reference, ref_lower)
+    _deliver_fills(batched, bat_lower)
+    assert _drain_responses(reference) == _drain_responses(batched)
+    assert _deep_state(reference) == _deep_state(batched)
+    if traced:
+        assert sinks[0].events == sinks[1].events
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num_banks=st.sampled_from([1, 2, 4]),
+    num_ports=st.sampled_from([1, 2, 8]),
+    mshr_size=st.sampled_from([1, 2, 4]),
+    lower_kind=_run_lowers,
+    rounds=_run_rounds,
+)
+def test_send_batch_runs_match_perlane_property(
+    num_banks, num_ports, mshr_size, lower_kind, rounds
+):
+    """Property: on run-heavy traffic (reads and writes, sticky and
+    non-sticky lowers, budgets ending mid-run, 1/2/8 ports) the run-granular
+    batch path matches the per-lane loop in outputs, cache state, LRU
+    stamps, MSHR contents, lower-level traffic and responses."""
+    _check_runs_against_perlane(num_banks, num_ports, mshr_size, lower_kind, rounds, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_banks=st.sampled_from([1, 2, 4]),
+    num_ports=st.sampled_from([1, 2, 8]),
+    mshr_size=st.sampled_from([1, 2, 4]),
+    lower_kind=_run_lowers,
+    rounds=_run_rounds,
+)
+def test_send_batch_runs_traced_match_perlane_property(
+    num_banks, num_ports, mshr_size, lower_kind, rounds
+):
+    """Property: with an in-memory trace sink attached, the run-granular
+    path emits exactly the per-lane event list (one event per attempt)."""
+    _check_runs_against_perlane(num_banks, num_ports, mshr_size, lower_kind, rounds, True)

@@ -218,3 +218,38 @@ def test_timing_engine_knob_and_report_tagging():
     assert driver.processor.cores[0].engine == "scalar"
     with pytest.raises(ValueError):
         SimxDriver(config, engine="warp")
+
+
+# -- port-stall regime: sticky refusal storms through the run-granular cache path ---------
+
+
+def _port_stall_config() -> VortexConfig:
+    """The benchmark's stall point: 1-port 16 KiB D$, 800-cycle DRAM, 32 threads."""
+    return VortexConfig(
+        dcache=CacheConfig(size=16 * 1024, num_banks=4, num_ports=1),
+        memory=MemoryConfig(latency=800),
+    ).with_warps_threads(4, 32)
+
+
+@pytest.mark.parametrize("kernel,size", [("vecadd", 64), ("sgemm", 8 * 8)])
+def test_port_stall_regime_bit_identical(kernel, size):
+    """Whole-run refusals (bank conflicts, sticky DRAM-queue refusals of
+    reads and of the store tail) must leave reports and the per-attempt
+    dcache/dram event streams exactly as the per-lane, fully ticked run
+    produces them."""
+    from repro.kernels import KERNELS
+    from repro.trace.events import expand_skips
+
+    def run(spec):
+        device = VortexDevice(_port_stall_config(), driver=spec)
+        run = KERNELS[kernel]().run(device, size=size)
+        assert run.passed
+        return run.report, expand_skips(device.driver.trace_sink.events)
+
+    traced = "trace=mem,trace_channels=dcache+dram"
+    report, events = run(f"simx:{traced}")
+    assert events
+    for knob in ("requests=perlane", "fastforward=off"):
+        other_report, other_events = run(f"simx:{knob},{traced}")
+        assert diff_execution_reports(other_report, report) == [], knob
+        assert other_events == events, knob
