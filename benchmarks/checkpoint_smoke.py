@@ -1,13 +1,9 @@
-"""Checkpoint/restore smoke benchmark: warm-start, replay identity, sampling.
+"""Checkpoint/restore smoke benchmark: replay identity and sampling.
 
-Three measurements, one payload (``BENCH_checkpoint.json``), every row
+Two measurements, one payload (``BENCH_checkpoint.json``), every row
 carrying an ``identical_counters`` flag that CI gates with
 ``benchmarks/check_regression.py --require-identical``:
 
-* **warm_start** — restoring a device from its pristine checkpoint (the
-  service :class:`~repro.service.worker.WarmPool` path) versus
-  constructing a fresh one, with the proof that a job run on the restored
-  device is bit-identical to one run on a brand-new device.
 * **restore_replay** — run-to-midpoint → checkpoint → pickle round-trip →
   restore into a fresh device → finish, diffed counter-by-counter against
   a straight-through run on both drivers.
@@ -26,16 +22,11 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.common.config import CacheConfig, CoreConfig, MemoryConfig, VortexConfig
-from repro.engine.session import (
-    KernelJob,
-    diff_execution_reports,
-    execute_job,
-    execute_job_restart,
-)
-from repro.runtime.device import VortexDevice
+from repro.engine.session import KernelJob, diff_execution_reports, execute_job
 from repro.runtime.sampling import SampledRun
 
 CONFIG = VortexConfig(
@@ -49,50 +40,11 @@ CONFIG = VortexConfig(
 REPLAY_POINTS = (("vecadd", 256), ("sgemm", 8 * 8), ("sfilter", 8 * 8))
 
 
-def measure_warm_start(repeats: int = 5) -> dict:
-    """Pristine-checkpoint restore versus device rebuild."""
-    device = VortexDevice(CONFIG, driver="simx")
-    pristine = device.checkpoint()
-
-    start = time.perf_counter()
-    for _ in range(repeats):
-        VortexDevice(CONFIG, driver="simx")
-    rebuild_seconds = (time.perf_counter() - start) / repeats
-
-    start = time.perf_counter()
-    for _ in range(repeats):
-        device.restore(pristine)
-    restore_seconds = (time.perf_counter() - start) / repeats
-
-    # Identity: a job on the restored device matches one on a new device.
-    job = KernelJob(kernel="vecadd", config=CONFIG, driver="simx", size=256)
-    reference = execute_job(job)
-    from repro.service.worker import WarmPool
-
-    pool = WarmPool()
-    pool.run_job(job)
-    warm = pool.run_job(job)  # second run goes through the restore path
-    identical = (
-        reference.ok
-        and warm.ok
-        and not diff_execution_reports(reference.report, warm.report)
-    )
-    return {
-        "scenario": "warm_start",
-        "rebuild_seconds": rebuild_seconds,
-        "restore_seconds": restore_seconds,
-        "restore_speedup": rebuild_seconds / restore_seconds if restore_seconds else None,
-        "restore_hits": pool.restore_hits,
-        "identical_counters": identical,
-        "errors": [e for e in (reference.error, warm.error) if e],
-    }
-
-
 def measure_restore_replay(kernel: str, size: int, driver: str) -> dict:
     """Midpoint checkpoint/restore versus straight-through, fully diffed."""
     job = KernelJob(kernel=kernel, config=CONFIG, driver=driver, size=size)
     straight = execute_job(job)
-    restarted = execute_job_restart(job)
+    restarted = execute_job(replace(job, restart_midpoint=True))
     mismatches: list[str] = []
     if straight.report is not None and restarted.report is not None:
         mismatches = diff_execution_reports(straight.report, restarted.report)
@@ -148,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=root / "BENCH_checkpoint.json")
     args = parser.parse_args(argv)
 
-    rows = [measure_warm_start()]
+    rows = []
     for kernel, size in REPLAY_POINTS:
         for driver in ("simx", "funcsim"):
             rows.append(measure_restore_replay(kernel, size, driver))
@@ -156,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
 
     identical = all(row["identical_counters"] for row in rows)
     payload = {
-        "benchmark": "checkpoint/restore: warm-start, replay identity, sampled simulation",
+        "benchmark": "checkpoint/restore: replay identity, sampled simulation",
         "generated_by": "benchmarks/checkpoint_smoke.py",
         "identical_counters": identical,
         "results": rows,

@@ -72,14 +72,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=root / "BENCH_session_differential.json")
     parser.add_argument(
         "--executor",
-        default="thread",
-        choices=("process", "thread", "serial"),
-        help="session executor for the sweep (default: thread)",
+        default="service",
+        choices=("serial", "service"),
+        help="session executor for the sweep (default: service)",
     )
     args = parser.parse_args(argv)
 
-    session = Session(executor=args.executor)
-    report = session.run_differential(smoke_jobs(), checkpoint_legs=True)
+    with Session(executor=args.executor) as session:
+        report = session.run_differential(smoke_jobs(), checkpoint_legs=True)
     print(report.summary())
     for result in report.results:
         status = "identical" if result.identical_counters else "MISMATCH"

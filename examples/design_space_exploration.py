@@ -9,7 +9,7 @@ the performance-per-area trade-off the paper uses to pick 4W-4T.
 
 The whole sweep is one batched :class:`repro.Session` run: every
 (configuration, memory latency) point becomes a job and the jobs execute
-concurrently on a worker pool.
+concurrently on the simulation service's worker fleet.
 
 Run with::
 
@@ -44,8 +44,8 @@ def build_jobs() -> list:
 
 
 def main() -> None:
-    session = Session()
-    batch = session.run_batch(build_jobs())
+    with Session() as session:
+        batch = session.run_batch(build_jobs())
     print(batch.summary())
     print()
     print(f"{'config':8s} {'mem lat':>8s} {'cycles':>8s} {'IPC':>6s} {'LUT':>8s} "

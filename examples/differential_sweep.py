@@ -13,7 +13,7 @@ the timing model (scheduler, scoreboard, latencies, caches, MSHRs) is
 shared, so the engines must agree bit for bit on every configuration.
 
 The sweep is served through the simulation service
-(``Session(executor="service")``): the grid fans out across the sharded
+(``Session(executor="service")``): the grid fans out across the service's
 worker fleet, and because every job is content-addressed, *re*-running the
 sweep is answered from the result cache — the second pass below executes
 nothing and returns bit-identical reports.

@@ -9,8 +9,9 @@ This package is the lane-parallel back end of the simulation stack:
 * :mod:`repro.engine.vector_core` — the vectorized functional core and
   multi-core processor (drop-in engine for the FUNCSIM driver).
 * :mod:`repro.engine.session` — batched multi-kernel sessions: queue
-  (kernel, config) jobs, execute them concurrently on a process or thread
-  pool, aggregate the reports; ``Session.run_differential`` sweeps every
+  (kernel, config) jobs, execute them inline or on the
+  :mod:`repro.service` worker fleet (one ``execute_job`` path either
+  way), aggregate the reports; ``Session.run_differential`` sweeps every
   job across both engines and diffs all performance counters.
 
 ``Session`` and friends are re-exported lazily to avoid a circular import

@@ -4,10 +4,11 @@ Design-space exploration runs *many* (kernel, config) combinations — the
 paper's Figures 14 and 18-21 each sweep a grid of design points.  A
 :class:`Session` turns that sweep into a batch: jobs are described
 declaratively as :class:`KernelJob` records, queued on a
-:class:`JobQueue`, and executed concurrently on a process pool (one
-simulator per worker, true parallelism), a thread pool, or — for
-repeat-heavy traffic — the sharded :mod:`repro.service` job server with
-its content-addressed result cache (``executor="service"``).
+:class:`JobQueue`, and executed either inline (``executor="serial"``) or
+by the :mod:`repro.service` job server (``executor="service"``, the
+default): a worker fleet fed from one queue, with a content-addressed
+result cache.  Both backends run every job through :func:`execute_job`,
+one fresh device per job.
 
 Results come back as :class:`JobResult` records aggregating the
 :class:`~repro.runtime.report.ExecutionReport`, the verification outcome
@@ -29,15 +30,7 @@ Fig 14/19/20 differential tests).
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
 from dataclasses import dataclass, field, replace
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING, Any
@@ -231,40 +224,6 @@ class JobResult:
         }
 
 
-def execute_job(job: KernelJob) -> JobResult:
-    """Run one job on a fresh device (module-level: picklable for pools)."""
-    from repro.kernels import KERNELS
-    from repro.runtime.device import VortexDevice
-
-    if job.restart_midpoint:
-        return execute_job_restart(job)
-    started = time.time()
-    clock = time.perf_counter()
-    try:
-        kernel_cls = KERNELS[job.kernel]
-        device = VortexDevice(job.config, driver=job.spec)
-        run = kernel_cls().run(device, size=job.size, verify=job.verify, options=job.options)
-        wall = time.perf_counter() - clock
-        return JobResult(
-            job=job,
-            report=run.report,
-            passed=run.passed,
-            wall_seconds=wall,
-            started_at=started,
-            finished_at=time.time(),
-        )
-    except Exception as exc:  # pragma: no cover - exercised via error-path test
-        wall = time.perf_counter() - clock
-        return JobResult(
-            job=job,
-            wall_seconds=wall,
-            started_at=started,
-            finished_at=time.time(),
-            error=f"{type(exc).__name__}: {exc}",
-            error_type=type(exc).__name__,
-        )
-
-
 #: Midpoint at which restart-leg jobs pause and checkpoint: cycles on the
 #: cycle-level driver, retired warp instructions on the functional one.
 #: Small enough that every grid kernel is genuinely mid-flight.
@@ -291,87 +250,64 @@ def _rebind_buffers(value: Any, device: Any) -> None:
             _rebind_buffers(item, device)
 
 
-def execute_job_restart(job: KernelJob) -> JobResult:
-    """Run a job through the checkpoint/restore midpoint path.
+def _restart_at_midpoint(job: KernelJob, device: Any) -> tuple[Any, ExecutionReport]:
+    """Run to the midpoint, restore into a fresh device, finish there.
 
-    The kernel runs to a fixed midpoint on a first device, a versioned
-    checkpoint is taken and pushed through a pickle round-trip (proving the
-    envelope is cross-process safe), restored into a *fresh* device, and
-    the run finishes there.  If the kernel completes before the midpoint
-    the leg degrades to a straight-through run — still a valid comparison.
-    The acceptance property: the returned report is bit-identical to an
-    uninterrupted run's.
+    The checkpoint envelope goes through a pickle round-trip, proving it is
+    cross-process safe.  Returns the device the run finished on and its
+    report.
     """
     import pickle
 
-    from repro.kernels import KERNELS
     from repro.runtime.device import VortexDevice
 
-    started = time.time()
-    clock = time.perf_counter()
-    try:
-        kernel = KERNELS[job.kernel]()
-        size = job.size if job.size is not None else kernel.default_size()
+    driver = device.driver
+    entry = device.program.entry
+    if hasattr(driver.processor, "cycle"):
+        report = driver.run(entry, options=job.options, stop_cycle=RESTART_MIDPOINT_UNITS)
+    else:
+        report = driver.run(
+            entry, options=job.options, stop_after_instructions=RESTART_MIDPOINT_UNITS
+        )
+    if not driver.done:
+        envelope = pickle.loads(pickle.dumps(device.checkpoint()))
         device = VortexDevice(job.config, driver=job.spec)
-        program = kernel.build_program()
-        device.upload_program(program)
-        context = kernel.setup(device, size)
-        driver = device.driver
-        if hasattr(driver.processor, "cycle"):
-            report = driver.run(
-                program.entry, options=job.options, stop_cycle=RESTART_MIDPOINT_UNITS
-            )
-        else:
-            report = driver.run(
-                program.entry,
-                options=job.options,
-                stop_after_instructions=RESTART_MIDPOINT_UNITS,
-            )
-        if not driver.done:
-            envelope = pickle.loads(pickle.dumps(device.checkpoint()))
-            device = VortexDevice(job.config, driver=job.spec)
-            device.restore(envelope)
-            _rebind_buffers(context, device)
-            report = device.driver.run(None, options=job.options, resume=True)
-        passed = kernel.verify(device, context) if job.verify else True
-        wall = time.perf_counter() - clock
-        return JobResult(
-            job=job,
-            report=report,
-            passed=passed,
-            wall_seconds=wall,
-            started_at=started,
-            finished_at=time.time(),
-        )
-    except Exception as exc:
-        wall = time.perf_counter() - clock
-        return JobResult(
-            job=job,
-            wall_seconds=wall,
-            started_at=started,
-            finished_at=time.time(),
-            error=f"{type(exc).__name__}: {exc}",
-            error_type=type(exc).__name__,
-        )
+        device.restore(envelope)
+        report = device.driver.run(None, options=job.options, resume=True)
+    return device, report
 
 
-def execute_job_checkpointed(
+def execute_job(
     job: KernelJob,
     *,
-    checkpoint_every: int,
+    checkpoint_every: int | None = None,
     checkpoint_sink: Any = None,
     resume_from: dict | None = None,
 ) -> JobResult:
-    """Run one job inline with periodic device checkpoints.
+    """Run one job on a fresh device (module-level: picklable for workers).
 
-    ``checkpoint_every`` is measured in the driver's natural unit (cycles
-    on the cycle-level driver, instructions on the functional one); after
-    each paused chunk ``checkpoint_sink`` receives the device's envelope.
-    ``resume_from`` continues a previously checkpointed run: the envelope
-    is restored into a fresh device and the verification context is
-    rebuilt deterministically (kernel setup is seeded) on a scratch device,
-    with its buffers rebound to the restored one.
+    Every leg reports bit-identically to a plain straight-through run:
+
+    * ``job.restart_midpoint`` — the kernel runs to
+      :data:`RESTART_MIDPOINT_UNITS`, a versioned checkpoint is taken,
+      pickled, restored into a *fresh* device, and the run finishes there
+      (the differential grid's restore leg).  A kernel that completes
+      before the midpoint runs straight through.
+    * ``checkpoint_every`` — the job runs in chunks of N driver units
+      (cycles on the cycle-level driver, instructions on the functional
+      one) and ``checkpoint_sink`` receives the device envelope after each
+      chunk.  ``resume_from`` continues a run from such an envelope: it is
+      restored into the fresh device, and the verification context is
+      rebuilt deterministically (kernel setup is seeded) on a scratch
+      device with its buffers rebound to the restored one.
+
+    A failing job never raises: its result carries the error.
+    Contradictory arguments raise :class:`ValueError`.
     """
+    if resume_from is not None and checkpoint_every is None:
+        raise ValueError("resume_from requires checkpoint_every")
+    if job.restart_midpoint and checkpoint_every is not None:
+        raise ValueError("a restart_midpoint job takes no checkpoint_every")
     from repro.kernels import KERNELS
     from repro.runtime.device import VortexDevice
 
@@ -383,9 +319,6 @@ def execute_job_checkpointed(
         device = VortexDevice(job.config, driver=job.spec)
         if resume_from is not None:
             device.restore(resume_from)
-            # Rebuild the verification context on a scratch device (setup is
-            # deterministic: seeded RNG, fresh bump allocator) and point its
-            # buffers at the restored device.
             scratch = VortexDevice(job.config, driver="funcsim")
             scratch.upload_program(kernel.build_program())
             context = kernel.setup(scratch, size)
@@ -393,32 +326,36 @@ def execute_job_checkpointed(
         else:
             device.upload_program(kernel.build_program())
             context = kernel.setup(device, size)
-        report = device.launch_resumable(
-            options=job.options,
-            checkpoint_every=checkpoint_every,
-            checkpoint_sink=checkpoint_sink,
-            resume=resume_from is not None,
-        )
+        if job.restart_midpoint:
+            device, report = _restart_at_midpoint(job, device)
+            _rebind_buffers(context, device)
+        elif checkpoint_every is not None:
+            report = device.launch_resumable(
+                options=job.options,
+                checkpoint_every=checkpoint_every,
+                checkpoint_sink=checkpoint_sink,
+                resume=resume_from is not None,
+            )
+        else:
+            report = device.launch(options=job.options)
         passed = kernel.verify(device, context) if job.verify else True
-        wall = time.perf_counter() - clock
-        return JobResult(
-            job=job,
-            report=report,
-            passed=passed,
-            wall_seconds=wall,
-            started_at=started,
-            finished_at=time.time(),
-        )
     except Exception as exc:
-        wall = time.perf_counter() - clock
         return JobResult(
             job=job,
-            wall_seconds=wall,
+            wall_seconds=time.perf_counter() - clock,
             started_at=started,
             finished_at=time.time(),
             error=f"{type(exc).__name__}: {exc}",
             error_type=type(exc).__name__,
         )
+    return JobResult(
+        job=job,
+        report=report,
+        passed=passed,
+        wall_seconds=time.perf_counter() - clock,
+        started_at=started,
+        finished_at=time.time(),
+    )
 
 
 class JobQueue:
@@ -451,6 +388,7 @@ class BatchReport:
 
     results: list[JobResult]
     wall_seconds: float
+    #: Workers that served the batch: the service's shard count, 1 for serial.
     max_workers: int
     executor: str
 
@@ -628,41 +566,34 @@ class DifferentialReport:
 
 
 class Session:
-    """Launches batches of (kernel, config) jobs concurrently.
+    """Launches batches of (kernel, config) jobs.
 
-    ``executor`` selects the execution backend: ``"process"`` (default when
-    the platform supports fork) runs each job in a worker process for true
-    parallelism; ``"thread"`` uses threads (lighter weight, still
-    concurrent, useful under constrained environments and in tests);
-    ``"serial"`` runs inline (debugging); ``"service"`` routes batches
-    through a :class:`repro.service.SimulationService` — a sharded worker
-    fleet with a content-addressed result cache, so repeat-heavy sweep
-    traffic (differential grids, Fig 14/18/19 clients) short-circuits to
-    cache hits.
+    ``executor`` selects the execution backend: ``"service"`` (the default)
+    routes batches through a :class:`repro.service.SimulationService` — a
+    worker fleet fed from one queue, with a content-addressed result cache,
+    so repeat-heavy sweep traffic (differential grids, Fig 14/18/19
+    clients) short-circuits to cache hits.  Its default
+    ``worker_mode="auto"`` runs jobs in worker processes and falls back to
+    in-process workers where processes cannot be created.  ``"serial"``
+    runs every job inline, one after another (debugging, small grids).
 
     For the service backend, pass an existing
     :class:`~repro.service.client.ServiceClient` as ``service`` to share a
     fleet (and its cache) across sessions, or a
     :class:`~repro.service.server.ServiceConfig` as ``service_config`` to
-    let the session own one (created lazily, shut down by :meth:`close`).
+    let the session own one (created lazily, shut down by :meth:`close`;
+    use the session as a context manager).
     """
 
     def __init__(
         self,
-        max_workers: int | None = None,
-        executor: str | None = None,
+        executor: str = "service",
         service: ServiceClient | None = None,
         service_config: ServiceConfig | None = None,
     ):
-        if executor is None:
-            executor = "process" if hasattr(os, "fork") else "thread"
-        if executor not in ("process", "thread", "serial", "service"):
+        if executor not in ("serial", "service"):
             raise ValueError(f"unknown executor {executor!r}")
         self.executor = executor
-        # Floor of 4: even on small hosts a batch should overlap several
-        # simulations (jobs block on different pages/pool pipes, and the
-        # acceptance bar for a sweep is >= 4 jobs in flight).
-        self.max_workers = max_workers or max(4, min(8, os.cpu_count() or 4))
         self.queue = JobQueue()
         self._service_client = service
         self._service_config = service_config
@@ -713,7 +644,7 @@ class Session:
     # -- execution ----------------------------------------------------------------------
 
     def run_batch(self, jobs: Sequence[KernelJob] | None = None) -> BatchReport:
-        """Execute ``jobs`` (or everything queued) concurrently.
+        """Execute ``jobs`` (or everything queued).
 
         Results are returned in submission order regardless of completion
         order.  A failing job never aborts the batch: its ``JobResult``
@@ -721,56 +652,15 @@ class Session:
         """
         batch = list(jobs) if jobs is not None else self.queue.drain()
         start = time.perf_counter()
-        if not batch:
-            return BatchReport([], 0.0, self.max_workers, self.executor)
-        workers = self.max_workers
-        if self.executor == "service":
+        if self.executor == "serial":
+            results, workers = [execute_job(job) for job in batch], 1
+        elif batch:
             client = self.service_client()
-            results = client.run_jobs(batch)
-            workers = client.num_shards
-        elif self.executor == "serial" or len(batch) == 1:
-            results = [execute_job(job) for job in batch]
+            results, workers = client.run_jobs(batch), client.num_shards
         else:
-            pool_cls = ProcessPoolExecutor if self.executor == "process" else ThreadPoolExecutor
-            try:
-                pool = pool_cls(max_workers=self.max_workers)
-            except (OSError, ImportError):
-                # The pool could not be brought up at all (constrained
-                # sandbox): degrade to in-process execution.
-                results = [execute_job(job) for job in batch]
-            else:
-                results = self._run_on_pool(pool, batch)
-        wall = time.perf_counter() - start
-        return BatchReport(results, wall, workers, self.executor)
-
-    def run(
-        self,
-        job: KernelJob,
-        *,
-        checkpoint_every: int | None = None,
-        checkpoint_sink: Any = None,
-        resume_from: dict | None = None,
-    ) -> JobResult:
-        """Execute one job, optionally as a resumable checkpointed run.
-
-        With neither ``checkpoint_every`` nor ``resume_from`` this is a
-        plain single-job :func:`execute_job`.  With ``checkpoint_every``
-        the job runs inline in chunks of N driver units (cycles on the
-        cycle-level driver, instructions on the functional one) and
-        ``checkpoint_sink`` receives the device envelope after each chunk;
-        ``resume_from`` continues a run from such an envelope.  Chunked and
-        resumed runs report bit-identically to straight-through runs.
-        """
-        if checkpoint_every is None and resume_from is None:
-            return execute_job(job)
-        if checkpoint_every is None:
-            raise ValueError("resume_from requires checkpoint_every")
-        return execute_job_checkpointed(
-            job,
-            checkpoint_every=checkpoint_every,
-            checkpoint_sink=checkpoint_sink,
-            resume_from=resume_from,
-        )
+            # Nothing to serve: do not bring up a fleet for it.
+            results, workers = [], 0
+        return BatchReport(results, time.perf_counter() - start, workers, self.executor)
 
     def run_differential(
         self,
@@ -792,7 +682,7 @@ class Session:
 
         With ``checkpoint_legs=True`` every job also expands into a third
         leg: the vector run re-executed through the checkpoint/restore
-        midpoint path (:func:`execute_job_restart`).  Its report is diffed
+        midpoint path (``KernelJob.restart_midpoint``).  Its report is diffed
         against the straight-through vector run, so any serializer drift in
         any simulator layer shows up as a counter mismatch in the grid.
         """
@@ -860,48 +750,6 @@ class Session:
                 )
             )
         return DifferentialReport(results=results, wall_seconds=executed.wall_seconds)
-
-    @staticmethod
-    def _run_on_pool(pool: Executor, batch: list[KernelJob]) -> list[JobResult]:
-        """Submit one future per job and collect results in order.
-
-        If a worker dies (e.g. a poison job is OOM-killed, breaking the
-        pool), completed jobs keep their results and the broken or
-        never-submitted ones are marked failed — the batch is never rerun
-        in the parent process.
-        """
-        with pool:
-            futures: list[Future[JobResult] | None] = []
-            submit_error: str | None = None
-            submit_error_type: str | None = None
-            for job in batch:
-                if submit_error is None:
-                    try:
-                        futures.append(pool.submit(execute_job, job))
-                    except BrokenExecutor as exc:
-                        submit_error = f"{type(exc).__name__}: {exc}"
-                        submit_error_type = type(exc).__name__
-                        futures.append(None)
-                else:
-                    futures.append(None)
-            results: list[JobResult] = []
-            for job, future in zip(batch, futures):
-                if future is None:
-                    results.append(
-                        JobResult(job=job, error=submit_error, error_type=submit_error_type)
-                    )
-                    continue
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    results.append(
-                        JobResult(
-                            job=job,
-                            error=f"{type(exc).__name__}: {exc}",
-                            error_type=type(exc).__name__,
-                        )
-                    )
-        return results
 
 
 def design_point_jobs(

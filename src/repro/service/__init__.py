@@ -1,9 +1,9 @@
-"""Simulation-as-a-service: async sharded job server + content-addressed cache.
+"""Simulation-as-a-service: async job server + content-addressed cache.
 
 Public surface:
 
 * :class:`SimulationService` / :class:`ServiceConfig` — the asyncio serving
-  core (sharded worker fleet, bounded queues, retries, result cache).
+  core (worker fleet fed from one bounded queue, retries, result cache).
 * :class:`ServiceClient` — the blocking facade sessions and scripts use.
 * :class:`ResultCache` / :class:`CacheStats` — the content-addressed cache.
 """

@@ -31,7 +31,12 @@ class ServiceClient:
         )
         self._thread.start()
         self._closed = False
-        self._call(self._service.start)
+        try:
+            self._call(self._service.start)
+        except BaseException:
+            # Reap the workers already up and stop the loop thread.
+            self.close()
+            raise
 
     def _call(self, factory: Callable[..., Any], *args: Any) -> Any:
         # The coroutine is created only after the closed check, so a call on

@@ -1,4 +1,4 @@
-"""The asyncio simulation service: sharded dispatch, retries, result cache.
+"""The asyncio simulation service: one job queue, retries, result cache.
 
 :class:`SimulationService` is the serving core behind
 ``Session(executor="service")``.  A submitted
@@ -12,12 +12,12 @@
    content-addressed :class:`~repro.service.cache.ResultCache`
    (bit-identical payload replay); a key currently *in flight* awaits the
    existing execution instead of enqueueing a duplicate.
-3. **Sharding + backpressure** — the key routes to a fixed shard
-   (``int(key[:8], 16) % num_shards``, so identical jobs serialize onto the
-   same worker and its warm state), through a bounded ``asyncio.Queue``:
-   when a shard's queue is full, ``submit`` *blocks* — backpressure
-   propagates to the client instead of buffering unboundedly.
-4. **Execution + retry** — the shard's consumer runs the job on its worker
+3. **Queue + backpressure** — the job enters one bounded ``asyncio.Queue``
+   (``queue_depth * num_shards`` entries) that every shard's consumer
+   drains, so any idle worker takes the next job.  When the queue is full,
+   ``submit`` *blocks* — backpressure propagates to the client instead of
+   buffering unboundedly.
+4. **Execution + retry** — a shard's consumer runs the job on its worker
    with a per-job timeout.  Infrastructure failures
    (:class:`~repro.service.worker.WorkerCrash`,
    :class:`~repro.service.worker.JobTimeout`) respawn the worker and retry
@@ -30,12 +30,13 @@
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.engine.session import JobResult, KernelJob
 from repro.service.cache import CachedResult, ResultCache
 from repro.service.worker import (
+    WORKER_MODES,
     InlineWorker,
     JobTimeout,
     ProcessWorker,
@@ -50,7 +51,8 @@ class ServiceConfig:
 
     #: Worker shards (= processes = max jobs simulating concurrently).
     num_shards: int = 4
-    #: Bounded per-shard queue depth; a full queue blocks ``submit``.
+    #: Queued jobs per shard: the service queue holds
+    #: ``queue_depth * num_shards`` jobs, and a full queue blocks ``submit``.
     queue_depth: int = 16
     #: Per-job wall-clock budget in seconds (the worker is killed past it).
     job_timeout: float | None = 120.0
@@ -70,6 +72,12 @@ class ServiceConfig:
             raise ValueError("queue_depth must be >= 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if self.job_timeout is not None and self.job_timeout <= 0:
+            raise ValueError("job_timeout must be > 0 (or None for no budget)")
+        if self.worker_mode not in WORKER_MODES:
+            raise ValueError(
+                f"unknown worker_mode {self.worker_mode!r} (expected one of {WORKER_MODES})"
+            )
 
 
 @dataclass
@@ -98,17 +106,14 @@ class ServiceStats:
 
 @dataclass
 class _Shard:
-    """One worker, its bounded queue, and its consumer task."""
+    """One worker and the consumer task feeding it from the service queue."""
 
-    index: int
     worker: ProcessWorker | InlineWorker
-    queue: asyncio.Queue[tuple[KernelJob, str | None, asyncio.Future[JobResult]]]
     consumer: asyncio.Task[None] | None = None
-    enqueued: int = field(default=0)
 
 
 class SimulationService:
-    """Async sharded job server with a content-addressed result cache.
+    """Async job server with a worker fleet and a content-addressed result cache.
 
     Lifecycle: ``await start()`` brings up the worker fleet, then
     :meth:`submit` / :meth:`run_batch` serve jobs until ``await close()``.
@@ -120,8 +125,10 @@ class SimulationService:
         self.cache = ResultCache(max_entries=self.config.cache_entries)
         self.stats = ServiceStats()
         self._shards: list[_Shard] = []
+        self._queue: asyncio.Queue[tuple[KernelJob, str | None, asyncio.Future[JobResult]]] = (
+            asyncio.Queue(maxsize=self.config.queue_depth * self.config.num_shards)
+        )
         self._inflight: dict[str, asyncio.Future[JobResult]] = {}
-        self._round_robin = 0
         self._started = False
 
     # -- lifecycle ----------------------------------------------------------------------
@@ -130,13 +137,9 @@ class SimulationService:
         if self._started:
             return
         loop = asyncio.get_running_loop()
-        for index in range(self.config.num_shards):
+        for _ in range(self.config.num_shards):
             worker = await loop.run_in_executor(None, create_worker, self.config.worker_mode)
-            shard = _Shard(
-                index=index,
-                worker=worker,
-                queue=asyncio.Queue(maxsize=self.config.queue_depth),
-            )
+            shard = _Shard(worker=worker)
             shard.consumer = asyncio.ensure_future(self._consume(shard))
             self._shards.append(shard)
         self._started = True
@@ -188,19 +191,11 @@ class SimulationService:
         except Exception:
             return None
 
-    def _shard_for(self, key: str | None) -> _Shard:
-        if key is not None:
-            index = int(key[:8], 16) % len(self._shards)
-        else:
-            index = self._round_robin % len(self._shards)
-            self._round_robin += 1
-        return self._shards[index]
-
     async def submit(self, job: KernelJob) -> JobResult:
         """Serve one job: cache hit, inflight dedup, or enqueue + await.
 
-        Blocks (asynchronously) when the target shard's queue is full —
-        this is the backpressure bound.
+        Blocks (asynchronously) when the service queue is full — this is
+        the backpressure bound.
         """
         if not self._started:
             await self.start()
@@ -244,14 +239,12 @@ class SimulationService:
         future: asyncio.Future[JobResult] = loop.create_future()
         if key is not None:
             self._inflight[key] = future
-        shard = self._shard_for(key)
         try:
-            await shard.queue.put((job, key, future))
+            await self._queue.put((job, key, future))
         except BaseException:
             if key is not None and self._inflight.get(key) is future:
                 del self._inflight[key]
             raise
-        shard.enqueued += 1
         try:
             return await asyncio.shield(future)
         finally:
@@ -261,9 +254,9 @@ class SimulationService:
     # -- execution ----------------------------------------------------------------------
 
     async def _consume(self, shard: _Shard) -> None:
-        """Shard consumer: drain the queue, one job at a time, with retries."""
+        """Shard consumer: take jobs off the service queue, one at a time, with retries."""
         while True:
-            job, key, future = await shard.queue.get()
+            job, key, future = await self._queue.get()
             try:
                 result = await self._execute_with_retry(shard, job)
             except asyncio.CancelledError:
@@ -282,7 +275,7 @@ class SimulationService:
                 self.cache.store(key, CachedResult.from_result(result))
             if not future.done():
                 future.set_result(result)
-            shard.queue.task_done()
+            self._queue.task_done()
 
     async def _execute_with_retry(self, shard: _Shard, job: KernelJob) -> JobResult:
         loop = asyncio.get_running_loop()

@@ -13,17 +13,13 @@ format/kind/config mismatches.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheConfig, CoreConfig, MemoryConfig, VortexConfig
-from repro.engine.session import (
-    KernelJob,
-    Session,
-    execute_job,
-    execute_job_restart,
-)
+from repro.engine.session import KernelJob, Session, execute_job
 from repro.runtime.checkpoint import (
     SNAPSHOT_FORMAT,
     SnapshotConfigMismatch,
@@ -191,25 +187,31 @@ class TestSessionCheckpoint:
     def test_restart_midpoint_job_matches_straight_run(self):
         job = KernelJob(kernel="sgemm", config=CFG, driver="simx", size=8)
         straight = execute_job(job)
-        restarted = execute_job_restart(job)
+        restarted = execute_job(replace(job, restart_midpoint=True))
         assert straight.ok and restarted.ok
         assert reports_identical(straight.report, restarted.report)
 
     def test_session_run_resume_from_checkpoint(self):
-        session = Session(executor="serial")
         job = KernelJob(kernel="sgemm", config=CFG, driver="simx", size=8)
         envelopes: list[dict] = []
-        chunked = session.run(job, checkpoint_every=300, checkpoint_sink=envelopes.append)
-        straight = session.run(job)
+        chunked = execute_job(job, checkpoint_every=300, checkpoint_sink=envelopes.append)
+        straight = execute_job(job)
         assert chunked.ok and straight.ok
         assert reports_identical(chunked.report, straight.report)
-        resumed = session.run(
+        resumed = execute_job(
             job,
             checkpoint_every=300,
             resume_from=pickle.loads(pickle.dumps(envelopes[0])),
         )
         assert resumed.ok
         assert reports_identical(resumed.report, straight.report)
+
+    def test_execute_job_rejects_contradictory_checkpoint_arguments(self):
+        job = KernelJob(kernel="vecadd", config=CFG, driver="simx", size=64)
+        with pytest.raises(ValueError, match="requires checkpoint_every"):
+            execute_job(job, resume_from=VortexDevice(CFG, driver="simx").checkpoint())
+        with pytest.raises(ValueError, match="restart_midpoint"):
+            execute_job(replace(job, restart_midpoint=True), checkpoint_every=100)
 
     def test_differential_checkpoint_legs_identical(self):
         session = Session(executor="serial")
@@ -260,22 +262,3 @@ class TestSampledRun:
             SampledRun("vecadd", CFG, sample_period=0)
         with pytest.raises(ValueError):
             SampledRun("vecadd", CFG, interval_cycles=-1)
-
-
-# ---------------------------------------------------------------------------
-# Warm-pool pristine restore
-
-
-class TestWarmPoolRestore:
-    def test_repeat_jobs_restore_and_stay_identical(self):
-        from repro.service.worker import WarmPool
-
-        pool = WarmPool()
-        job = KernelJob(kernel="vecadd", config=CFG, driver="simx", size=64)
-        first = pool.run_job(job)
-        second = pool.run_job(job)
-        reference = execute_job(job)
-        assert first.ok and second.ok and reference.ok
-        assert pool.restore_hits == 1
-        assert reports_identical(first.report, reference.report)
-        assert reports_identical(second.report, reference.report)

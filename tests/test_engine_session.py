@@ -20,6 +20,7 @@ from repro.kernels import VecAddKernel
 from repro.runtime.device import VortexDevice
 from repro.runtime.funcsim import FuncSimDriver
 from repro.runtime.simx import SimxDriver
+from repro.service import ServiceConfig
 
 BASE = 0x8000_0000
 
@@ -191,13 +192,17 @@ def test_job_result_payload_round_trips_through_execution_report():
 
 
 def test_session_runs_batch_of_jobs_concurrently():
-    session = Session(max_workers=6, executor="thread")
-    # Jobs must run long enough (size 1024, not 256) that a few ms of
-    # thread-spawn stagger under full-suite load cannot serialize them
-    # below the 4-in-flight acceptance bar.
-    for kernel in ("vecadd", "saxpy", "sgemm", "vecadd", "saxpy", "sgemm"):
-        session.submit(KernelJob(kernel=kernel, driver="funcsim", size=1024))
-    batch = session.run_batch()
+    # Six distinct jobs (the service would dedup repeats onto one
+    # execution).  They must run long enough (sizes near 1024, not 256)
+    # that a few ms of thread stagger under full-suite load cannot
+    # serialize them below the 4-in-flight acceptance bar.
+    with Session(
+        executor="service", service_config=ServiceConfig(num_shards=6, worker_mode="inline")
+    ) as session:
+        for kernel in ("vecadd", "saxpy", "sgemm"):
+            for size in (900, 1024):
+                session.submit(KernelJob(kernel=kernel, driver="funcsim", size=size))
+        batch = session.run_batch()
     assert isinstance(batch, BatchReport)
     assert len(batch.results) == 6
     assert batch.ok
@@ -208,20 +213,27 @@ def test_session_runs_batch_of_jobs_concurrently():
 
 
 def test_session_results_preserve_submission_order():
-    session = Session(max_workers=4, executor="thread")
     jobs = [
         KernelJob(kernel="vecadd", driver="funcsim", size=32, label="first"),
         KernelJob(kernel="saxpy", driver="funcsim", size=32, label="second"),
     ]
-    batch = session.run_batch(jobs)
+    with Session(
+        executor="service", service_config=ServiceConfig(num_shards=4, worker_mode="inline")
+    ) as session:
+        batch = session.run_batch(jobs)
     assert [result.job.label for result in batch.results] == ["first", "second"]
 
 
 def test_session_process_pool_round_trip():
-    session = Session(max_workers=2, executor="process")
-    batch = session.run_batch(
-        [KernelJob(kernel="vecadd", driver="funcsim", size=64, label=f"j{i}") for i in range(2)]
-    )
+    with Session(
+        executor="service", service_config=ServiceConfig(num_shards=2, worker_mode="process")
+    ) as session:
+        batch = session.run_batch(
+            [
+                KernelJob(kernel="vecadd", driver="funcsim", size=64, label=f"j{i}")
+                for i in range(2)
+            ]
+        )
     assert batch.ok
     assert all(result.report is not None for result in batch.results)
 
@@ -265,7 +277,7 @@ def test_session_batch_runs_vectorized_timing_engine_bit_identical():
     layer; pinning ``engine="scalar"`` on the same sweep must reproduce the
     exact same cycles and counters."""
     config = VortexConfig()
-    session = Session(max_workers=2, executor="serial")
+    session = Session(executor="serial")
     jobs = [
         KernelJob(kernel="vecadd", config=config, size=64, label="vec"),
         KernelJob(kernel="vecadd", config=config, size=64, engine="scalar", label="ref"),
@@ -299,12 +311,14 @@ def test_run_differential_reports_identical_counters():
     """A small grid swept on both timing engines must match on every counter."""
     from repro.engine.session import DifferentialReport
 
-    session = Session(max_workers=2, executor="thread")
     jobs = [
         KernelJob(kernel="vecadd", size=64, label="vecadd64"),
         KernelJob(kernel="sgemm", size=36, label="sgemm36"),
     ]
-    report = session.run_differential(jobs)
+    with Session(
+        executor="service", service_config=ServiceConfig(num_shards=2, worker_mode="inline")
+    ) as session:
+        report = session.run_differential(jobs)
     assert isinstance(report, DifferentialReport)
     assert len(report.results) == 2
     assert report.ok
@@ -424,8 +438,9 @@ def test_job_launch_options_bound_the_run():
 
 
 def test_session_rejects_unknown_executor():
-    with pytest.raises(ValueError):
-        Session(executor="gpu")
+    for executor in ("gpu", "thread", "process"):
+        with pytest.raises(ValueError):
+            Session(executor=executor)
 
 
 def test_empty_batch_is_a_noop():

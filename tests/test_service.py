@@ -1,10 +1,12 @@
 """Tests for the simulation service: canonical job identity, the
-content-addressed result cache, the sharded worker fleet and its failure
-paths (crash retry, timeout, backpressure), and the Session backend."""
+content-addressed result cache, the worker fleet fed from one queue and its
+failure paths (crash retry, timeout, backpressure), config validation, and
+the Session backend."""
 
 import asyncio
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -213,22 +215,7 @@ def test_service_caches_verification_failures():
     assert served.cached and not served.passed and served.error is None
 
 
-def test_service_shards_stably_by_key():
-    async def scenario():
-        async with SimulationService(
-            ServiceConfig(num_shards=4, worker_mode="inline")
-        ) as service:
-            key = KernelJob("vecadd", size=64).cache_key()
-            first = service._shard_for(key)
-            assert all(service._shard_for(key) is first for _ in range(8))
-            # Uncacheable jobs round-robin across all shards.
-            indices = {service._shard_for(None).index for _ in range(8)}
-            assert indices == {0, 1, 2, 3}
-
-    asyncio.run(scenario())
-
-
-# -- backpressure ------------------------------------------------------------------------
+# -- the service queue: dispatch and backpressure ----------------------------------------
 
 
 class _SlowWorker:
@@ -241,9 +228,10 @@ class _SlowWorker:
         self.alive = True
 
     def request(self, job, timeout):
+        started = time.time()
         time.sleep(self.delay)
         self.jobs_served += 1
-        return JobResult(job=job, passed=True)
+        return JobResult(job=job, passed=True, started_at=started, finished_at=time.time())
 
     def terminate(self):
         pass
@@ -252,16 +240,55 @@ class _SlowWorker:
         pass
 
 
-def test_submission_blocks_at_the_backpressure_bound():
-    """With queue_depth=1, a third concurrent submit must block in
-    ``queue.put`` (not enqueue) until the worker frees a slot."""
+def test_idle_workers_take_jobs_whose_keys_collide():
+    """Any idle worker takes the next queued job: two distinct jobs run at
+    once on a 2-worker service even when their keys agree modulo 2 (which
+    key-hash routing would serialize onto one worker)."""
+
+    def parity(job):
+        return int(job.cache_key()[:8], 16) % 2
+
+    candidates = [KernelJob("vecadd", size=8 * n) for n in range(1, 17)]
+    first = candidates[0]
+    second = next(job for job in candidates[1:] if parity(job) == parity(first))
 
     async def scenario():
         async with SimulationService(
-            ServiceConfig(num_shards=1, queue_depth=1, worker_mode="inline")
+            ServiceConfig(num_shards=2, worker_mode="inline")
         ) as service:
-            shard = service._shards[0]
-            shard.worker = _SlowWorker(delay=0.25)
+            for shard in service._shards:
+                shard.worker = _SlowWorker(delay=0.25)
+            return await service.run_batch([first, second])
+
+    results = asyncio.run(scenario())
+    assert all(r.passed for r in results)
+    # Both jobs were executing at once.
+    assert max(r.started_at for r in results) < min(r.finished_at for r in results)
+
+
+class _CountingQueue(asyncio.Queue):
+    """The service queue, counting completed ``put`` calls."""
+
+    def __init__(self, maxsize):
+        super().__init__(maxsize)
+        self.puts = 0
+
+    async def put(self, item):
+        await super().put(item)
+        self.puts += 1
+
+
+def test_submission_blocks_at_the_backpressure_bound():
+    """With queue_depth=1 on one worker, a third concurrent submit must
+    block in ``queue.put`` (not enqueue) until the worker frees a slot."""
+
+    async def scenario():
+        service = SimulationService(
+            ServiceConfig(num_shards=1, queue_depth=1, worker_mode="inline")
+        )
+        queue = service._queue = _CountingQueue(maxsize=service._queue.maxsize)
+        async with service:
+            service._shards[0].worker = _SlowWorker(delay=0.25)
             jobs = [KernelJob("vecadd", size=size) for size in (8, 16, 24)]
             tasks = []
             for job in jobs:
@@ -269,13 +296,40 @@ def test_submission_blocks_at_the_backpressure_bound():
                 await asyncio.sleep(0.05)
             # Job 1 is executing, job 2 fills the single queue slot; job 3's
             # put() is blocked by backpressure and has not enqueued.
-            assert shard.enqueued == 2
-            assert shard.queue.full()
+            assert queue.puts == 2
+            assert queue.full()
             results = await asyncio.gather(*tasks)
-            assert shard.enqueued == 3
+            assert queue.puts == 3
             assert all(r.passed for r in results)
 
     asyncio.run(scenario())
+
+
+# -- config validation and start-up failure ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"worker_mode": "bogus"}, {"job_timeout": 0}, {"job_timeout": -1.0}]
+)
+def test_service_config_rejects_invalid_values(kwargs):
+    with pytest.raises(ValueError):
+        ServiceConfig(**kwargs)
+
+
+def test_service_client_stops_its_loop_thread_when_start_fails(monkeypatch):
+    def no_processes():
+        raise OSError("cannot create processes")
+
+    monkeypatch.setattr(worker_mod, "ProcessWorker", no_processes)
+    before = set(threading.enumerate())
+    with pytest.raises(OSError):
+        ServiceClient(ServiceConfig(num_shards=2, worker_mode="process"))
+    leaked = [
+        thread
+        for thread in threading.enumerate()
+        if thread not in before and thread.name == "repro-service"
+    ]
+    assert leaked == []
 
 
 # -- process workers: crash retry + timeout ----------------------------------------------
@@ -344,8 +398,8 @@ def test_per_job_timeout_kills_the_worker_and_reports_timeout():
     assert new_pid != pid  # the stuck worker was killed and replaced
 
 
-def test_process_worker_warm_pool_round_trip():
-    """A process worker serves repeat jobs warm, bit-identical to cold."""
+def test_process_worker_round_trip():
+    """A process worker serves repeat jobs, each bit-identical to the first."""
     worker = worker_mod.create_worker("process")
     if isinstance(worker, InlineWorker):
         pytest.skip("platform cannot create worker processes")
