@@ -10,6 +10,8 @@ invocation never repeats a simulation.
 
 from __future__ import annotations
 
+import difflib
+import os
 from functools import lru_cache
 from collections.abc import Iterable
 from pathlib import Path
@@ -86,32 +88,69 @@ def run_texture(mode: str, use_hw: bool, num_cores: int = 1) -> ExecutionReport:
     return run.report
 
 
-#: File the regenerated tables are appended to, so the rows survive pytest's
-#: output capture of passing tests.  Anchored at the repository root and
-#: emptied once per pytest session (``benchmarks/conftest.py``), so it holds
-#: exactly one copy of the tables the session regenerated.
+#: The golden copy of every regenerated table/figure, at the repository root.
+#: Each table a benchmark regenerates is compared, by title, with its block in
+#: this file, and a difference fails that benchmark — so a ``-k`` run checks
+#: exactly the tables it regenerated.  With ``REPRO_UPDATE_TABLES=1`` set, the
+#: regenerated blocks are written into the file instead (in place, new titles
+#: appended).
 TABLES_PATH = Path(__file__).resolve().parent.parent / "benchmark_tables.txt"
+UPDATE_TABLES_ENV = "REPRO_UPDATE_TABLES"
+
+
+def read_tables() -> dict[str, str]:
+    """The committed table blocks keyed by title, in file order (empty if absent)."""
+    try:
+        text = TABLES_PATH.read_text(encoding="utf-8")
+    except OSError:
+        return {}
+    blocks: dict[str, list[str]] = {}
+    title = None
+    for line in text.splitlines():
+        if line.startswith("=== ") and line.endswith(" ==="):
+            title = line[4:-4]
+            blocks[title] = [line]
+        elif line and title is not None:
+            blocks[title].append(line)
+    return {title: "\n".join(lines) for title, lines in blocks.items()}
 
 
 def print_table(title: str, headers: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Print one regenerated table/figure and append it to ``benchmark_tables.txt``."""
+    """Print one regenerated table/figure and check it against ``benchmark_tables.txt``."""
     headers = list(headers)
     rows = [[_fmt(cell) for cell in row] for row in rows]
     widths = [
         max(len(str(headers[column])), max((len(row[column]) for row in rows), default=0))
         for column in range(len(headers))
     ]
-    lines = ["", f"=== {title} ==="]
+    lines = [f"=== {title} ==="]
     lines.append("  ".join(str(header).ljust(width) for header, width in zip(headers, widths)))
     for row in rows:
         lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
-    text = "\n".join(lines)
-    print(text)
-    try:
-        with open(TABLES_PATH, "a", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    except OSError:
-        pass  # the on-disk copy is best-effort; stdout remains authoritative
+    block = "\n".join(lines)
+    print("\n" + block)
+    golden = read_tables()
+    if os.environ.get(UPDATE_TABLES_ENV):
+        golden[title] = block
+        TABLES_PATH.write_text(
+            "".join(f"\n{text}\n" for text in golden.values()), encoding="utf-8"
+        )
+        return
+    committed = golden.get(title)
+    if committed != block:
+        diff = "\n".join(
+            difflib.unified_diff(
+                (committed or "").splitlines(),
+                block.splitlines(),
+                "committed",
+                "regenerated",
+                lineterm="",
+            )
+        )
+        raise AssertionError(
+            f"table {title!r} differs from {TABLES_PATH.name}; if the change is "
+            f"intended, re-run with {UPDATE_TABLES_ENV}=1 and commit the file:\n{diff}"
+        )
 
 
 def _fmt(cell) -> str:

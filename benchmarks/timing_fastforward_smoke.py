@@ -44,10 +44,13 @@ def _store_storm(warps: int, threads: int) -> VortexConfig:
     ).with_warps_threads(warps, threads)
 
 
-def _wide_ported(warps: int, threads: int) -> VortexConfig:
+def _wide_ported(warps: int, threads: int, num_cores: int = 1) -> VortexConfig:
     """8-port 64 KiB D$: multi-lane hit and MSHR-merge runs, cut off by the
-    free ports and the per-cycle thread budget."""
+    free ports and the per-cycle thread budget.  With more cores they share
+    an L2, whose full DRAM queue refuses whole store batches in bulk."""
     return VortexConfig(
+        num_cores=num_cores,
+        enable_l2=num_cores > 1,
         dcache=CacheConfig(size=64 * 1024, num_banks=8, num_ports=8),
         memory=MemoryConfig(latency=10),
     ).with_warps_threads(warps, threads)
@@ -66,6 +69,7 @@ def smoke_scenarios() -> list:
         ),
         ("vecadd_1p32t_dram800", "vecadd", 256, _store_storm(8, 32)),
         ("sgemm_8p32t_64k", "sgemm", 16 * 16, _wide_ported(4, 32)),
+        ("sgemm_4c_l2_8p32t", "sgemm", 16 * 16, _wide_ported(4, 32, num_cores=4)),
     ]
 
 

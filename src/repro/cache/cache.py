@@ -26,7 +26,8 @@ from repro.common.config import CacheConfig
 from repro.common.perf import PerfCounters, hot_path
 from repro.trace.events import NO_WARP
 
-#: The bank field of a batched request entry ``(address, line, bank_id, ...)``.
+#: The address and bank fields of a batched request entry ``(address, line, bank_id, ...)``.
+_ADDRESS_OF = itemgetter(0)
 _BANK_OF = itemgetter(2)
 
 
@@ -56,6 +57,14 @@ class LowerPort:
     ``request_fill`` asks for a full line (read); ``request_write`` forwards
     a write-through store.  Both return False when the lower level cannot
     accept more traffic this cycle.
+
+    A non-sticky port may also offer the optional probe ``writes_refused()``:
+    True when every write-through is provably refused for the rest of the
+    cycle (see :meth:`NonBlockingCache.writes_refused`).  While it holds, the
+    cache refuses the rest of a store batch in one step and charges the
+    forwarded lanes through :meth:`refuse_writes`.  The cache binds the
+    probe once at construction and treats a port without it as never
+    blocked.
     """
 
     #: True when one refusal implies every further request this cycle is
@@ -73,6 +82,13 @@ class LowerPort:
 
     def note_skipped_refusal(self, count: int = 1) -> None:
         """Charge the counters ``count`` skipped (provably refused) requests would have."""
+        raise NotImplementedError
+
+    def refuse_writes(self, addresses: list[int]) -> None:
+        """Charge what one refused ``request_write`` per address would have.
+
+        Only called on ports offering ``writes_refused``, while it holds.
+        """
         raise NotImplementedError
 
     def refusal_horizon(self) -> int | None:
@@ -111,8 +127,9 @@ class NonBlockingCache:
     #: Construction-time wiring and hot-path prebinds (vxlint VX007):
     #: ``name`` is identity (the memory subsystem keys snapshots by it),
     #: ``lower`` is topology, ``_line_size``/``_num_banks``/``_num_ports``
-    #: derive from config and ``_counters`` aliases ``perf._counters``
-    #: (serialized under the ``"perf"`` key).
+    #: derive from config, ``_counters`` aliases ``perf._counters``
+    #: (serialized under the ``"perf"`` key) and ``_lower_writes_refused``
+    #: is the lower port's optional bound probe.
     SNAPSHOT_EXCLUDED = frozenset(
         {
             "name",
@@ -122,6 +139,7 @@ class NonBlockingCache:
             "_num_banks",
             "_num_ports",
             "_counters",
+            "_lower_writes_refused",
             "trace",
             "trace_channel",
             "trace_core",
@@ -150,6 +168,9 @@ class NonBlockingCache:
         self._num_banks = config.num_banks
         self._num_ports = config.num_ports
         self._counters = self.perf._counters
+        # Optional cross-level write refusal (LowerPort docstring): ``None``
+        # for ports without it, which are then never blocked.
+        self._lower_writes_refused = getattr(lower, "writes_refused", None)
 
     # -- address helpers ----------------------------------------------------------------
 
@@ -398,6 +419,9 @@ class NonBlockingCache:
         num_banks = self._num_banks
         lower = self.lower
         trace = self.trace
+        # A traced cache never refuses writes in bulk: the lower levels'
+        # per-lane events must interleave with its own.
+        lower_writes_refused = self._lower_writes_refused if trace is None else None
         total = len(requests)
         # Saturation fast path: once every bank has all its ports taken this
         # cycle, the port check (which precedes every other refusal reason)
@@ -412,6 +436,16 @@ class NonBlockingCache:
             counters["bank_conflicts"] += total
             if trace is not None:
                 self._trace_lanes(requests, 0, total, "conflict", is_write)
+            return 0, requests, budget
+        if (
+            is_write
+            and budget > 0
+            and lower_writes_refused is not None
+            and lower_writes_refused()
+        ):
+            # The lower cache refuses every write-through this cycle: the
+            # whole store batch is refused without a single lower-level call.
+            self._refuse_writes_from(requests, 0)
             return 0, requests, budget
         attempts = accepted_count = bank_conflicts = mshr_stalls = memq_stalls = 0
         read_hits = read_misses = write_hits = write_misses = skipped = 0
@@ -568,18 +602,15 @@ class NonBlockingCache:
                 if trace is not None:
                     self._trace_lanes(requests, index, index + 1, "refusal", True)
                 index += 1
-                if lower_sticky and index < total:
-                    # Sticky lower: no later write can be accepted (every
-                    # write-through needs the shared lower queue) and
-                    # refusals mutate nothing, so the tail is classified in
-                    # one step; budget stays positive, so every tail entry
-                    # counts as an attempt.
-                    tail = total - index
-                    conflicts = self._write_tail_conflicts(requests, index)
-                    attempts += tail
-                    bank_conflicts += conflicts
-                    memq_stalls += tail - conflicts
-                    skipped += tail - conflicts
+                if index < total and (
+                    lower_sticky
+                    or (lower_writes_refused is not None and lower_writes_refused())
+                ):
+                    # No later write can be accepted: a sticky lower queue
+                    # stays full, and a lower cache whose own way down is
+                    # blocked refuses every write-through.  Budget stays
+                    # positive, so every tail entry counts as an attempt.
+                    self._refuse_writes_from(requests, index)
                     refused.extend(requests[index:])
                     break
 
@@ -608,22 +639,25 @@ class NonBlockingCache:
         return accepted_count, refused, budget
 
     @hot_path
-    def _write_tail_conflicts(self, requests: list[tuple[Any, ...]], start: int) -> int:
+    def _write_tail_conflicts(
+        self, requests: list[tuple[Any, ...]], start: int, forwarded: list[int] | None = None
+    ) -> int:
         """How many writes of ``requests[start:]`` the port check refuses.
 
-        Called once a sticky lower level has refused a write: every later
-        write in the batch is refused, as a bank conflict where the port
-        check refuses it and as a lower-level refusal everywhere else.
-        Only banks that accepted this cycle can refuse, and when all of
-        them are out of ports their entries are counted per bank without
-        looking at lines.  With tracing on, the per-lane events are emitted
-        in order.
+        Called once the lower level is known to refuse every further write
+        this cycle: each later write is refused, as a bank conflict where
+        the port check refuses it and as a lower-level refusal everywhere
+        else.  When ``forwarded`` is given, the addresses of the lower-level
+        refusals are appended to it, in order.  Only banks that accepted
+        this cycle can refuse, and when all of them are out of ports their
+        entries are counted per bank without looking at lines.  With
+        tracing on, the per-lane events are emitted in order.
         """
         accepts = self._accepts_this_cycle
         num_ports = self._num_ports
         trace = self.trace
         conflicts = 0
-        if trace is None:
+        if trace is None and forwarded is None:
             if not accepts:
                 return 0
             full_banks: list[int] = []
@@ -649,10 +683,75 @@ class NonBlockingCache:
                 kind = "conflict"
             else:
                 kind = "refusal"
+                if forwarded is not None:
+                    forwarded.extend(map(_ADDRESS_OF, requests[index:run_end]))
             if trace is not None:
                 self._trace_lanes(requests, index, run_end, kind, True)
             index = run_end
         return conflicts
+
+    def writes_refused(self) -> bool:
+        """True when every write-through sent here is refused for the rest of the cycle.
+
+        A write-through is accepted only once the lower level accepts it
+        too, so a level whose lower port is sticky and full (its
+        :meth:`LowerPort.refusal_horizon` is set) refuses them all, and so
+        does a level above such a level.  Refusals mutate nothing, so the
+        bank-selector state each refusal is judged against stays frozen and
+        :meth:`refuse_writes` can charge a whole batch at once.  A traced
+        level answers False: its per-lane events must interleave with the
+        events of the level above.
+        """
+        lower = self.lower
+        if lower is None or self.trace is not None:
+            return False
+        if lower.sticky_refusal:
+            return lower.refusal_horizon() is not None
+        probe = self._lower_writes_refused
+        return probe is not None and probe()
+
+    @hot_path
+    def refuse_writes(self, addresses: list[int]) -> None:
+        """Charge the write-throughs ``addresses`` as refused, in one step.
+
+        Only valid while :meth:`writes_refused` holds; each address then
+        costs exactly what a refused :meth:`send_raw` charges.
+        """
+        line_size = self._line_size
+        num_banks = self._num_banks
+        requests: list[tuple[Any, ...]] = []
+        for address in addresses:
+            line = address // line_size
+            requests.append((address, line, line % num_banks))
+        self._refuse_writes_from(requests, 0)
+
+    @hot_path
+    def _refuse_writes_from(self, requests: list[tuple[Any, ...]], start: int) -> None:
+        """Charge ``requests[start:]`` as write-throughs the lower level refuses.
+
+        Valid once the lower level refuses every write this cycle.  Each
+        entry is an attempt, then a bank conflict where the port check
+        refuses it and otherwise a ``memq_stalls`` refusal whose request
+        the lower level is charged for: a sticky port's skipped refusals
+        as one count, a lower cache's through its own bulk refusal.
+        """
+        lower = self.lower
+        tail = len(requests) - start
+        if lower is None or tail <= 0:
+            return
+        forwarded: list[int] | None = None if lower.sticky_refusal else []
+        conflicts = self._write_tail_conflicts(requests, start, forwarded)
+        counters = self._counters
+        counters["attempts"] += tail
+        if conflicts:
+            counters["bank_conflicts"] += conflicts
+        refusals = tail - conflicts
+        if refusals:
+            counters["memq_stalls"] += refusals
+            if forwarded is None:
+                lower.note_skipped_refusal(refusals)
+            else:
+                lower.refuse_writes(forwarded)
 
     @hot_path
     def _bank_requests(

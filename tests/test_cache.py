@@ -723,3 +723,153 @@ def test_send_batch_runs_traced_match_perlane_property(
     """Property: with an in-memory trace sink attached, the run-granular
     path emits exactly the per-lane event list (one event per attempt)."""
     _check_runs_against_perlane(num_banks, num_ports, mshr_size, lower_kind, rounds, True)
+
+
+# -- cross-level chain: L1 -> _CachePort -> L2 (-> L3) -> _DramPort -> DramModel -----------
+#
+# With a real hierarchy below the L1, a full DRAM queue blocks every
+# write-through at every level, and ``send_batch`` refuses a store batch in
+# one step instead of one lower-level call chain per lane.  These hold that
+# shortcut to the per-lane ``send_raw`` loop through the whole chain.
+
+
+def _chain(num_ports, queue_size, with_l3, channels=None):
+    """A one-core memory subsystem with an L2 (and optionally an L3) over a small DRAM queue."""
+    from repro.cache.hierarchy import MemorySubsystem
+    from repro.common.config import MemoryConfig, VortexConfig
+    from repro.trace.bus import TraceBus
+    from repro.trace.sinks import MemorySink
+
+    config = VortexConfig(
+        dcache=CacheConfig(
+            size=4 * 1024, line_size=64, num_banks=4, num_ports=num_ports,
+            mshr_size=4, hit_latency=2,
+        ),
+        l2cache=CacheConfig(size=8 * 1024, line_size=64, num_banks=2, num_ports=1, mshr_size=4),
+        l3cache=CacheConfig(
+            size=16 * 1024, line_size=64, num_banks=2, num_ports=1, mshr_size=4
+        ),
+        enable_l2=True,
+        enable_l3=with_l3,
+        memory=MemoryConfig(latency=3, bandwidth=1, request_queue_size=queue_size),
+    )
+    mem = MemorySubsystem(config)
+    sink = MemorySink()
+    if channels is not None:
+        mem.attach_trace(TraceBus([sink], channels=list(channels)))
+    return mem, sink
+
+
+def _chain_state(mem):
+    """Every level's deep state: tags, LRU stamps, MSHRs with their waiting
+    requests, scheduled responses, accept state and counters, plus the DRAM
+    queue and counters (lower-level tags encoded by cache name)."""
+    return mem.snapshot()
+
+
+def _tick_chain(mem):
+    return {
+        key: [(r.tag, r.address, r.is_write, r.hit, r.cycle) for r in responses]
+        for key, responses in mem.tick().items()
+    }
+
+
+_chain_rounds = st.lists(
+    st.tuples(_run_calls, st.integers(min_value=0, max_value=2)),  # (calls, ticks after)
+    min_size=1,
+    max_size=6,
+)
+
+
+def _check_chain_against_perlane(num_ports, queue_size, with_l3, channels, rounds):
+    ref_mem, ref_sink = _chain(num_ports, queue_size, with_l3, channels)
+    bat_mem, bat_sink = _chain(num_ports, queue_size, with_l3, channels)
+    reference, batched = ref_mem.dcache(0), bat_mem.dcache(0)
+    for calls, ticks in rounds:
+        for is_write, budget, runs in calls:
+            entries = _entries_for(reference, _run_addresses(runs))
+            ref_out = _perlane_reference(reference, list(entries), budget, is_write, "t")
+            bat_out = batched.send_batch(list(entries), budget, is_write, "t")
+            assert bat_out == ref_out
+            assert _chain_state(ref_mem) == _chain_state(bat_mem)
+        for _ in range(ticks):
+            assert _tick_chain(ref_mem) == _tick_chain(bat_mem)
+    for _ in range(40):
+        assert _tick_chain(ref_mem) == _tick_chain(bat_mem)
+    assert _chain_state(ref_mem) == _chain_state(bat_mem)
+    assert ref_sink.events == bat_sink.events
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num_ports=st.sampled_from([1, 2, 8]),
+    queue_size=st.sampled_from([1, 2, 3]),
+    with_l3=st.booleans(),
+    rounds=_chain_rounds,
+)
+def test_send_batch_cross_level_matches_perlane_property(
+    num_ports, queue_size, with_l3, rounds
+):
+    """Property: through a real L1 -> L2 (-> L3) -> DRAM chain with a small
+    request queue, ``send_batch`` matches the per-lane ``send_raw`` loop in
+    outputs, every level's state and counters, the DRAM queue and the
+    response streams."""
+    _check_chain_against_perlane(num_ports, queue_size, with_l3, None, rounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_ports=st.sampled_from([1, 2, 8]),
+    queue_size=st.sampled_from([1, 2, 3]),
+    with_l3=st.booleans(),
+    channels=st.sampled_from([("dcache",), ("l2", "l3"), ("dcache", "l2", "l3", "dram")]),
+    rounds=_chain_rounds,
+)
+def test_send_batch_cross_level_traced_matches_perlane_property(
+    num_ports, queue_size, with_l3, channels, rounds
+):
+    """Property: with any level of the chain traced, the batched path emits
+    exactly the per-lane event list (each lane's lower-level event before
+    the L1 refusal it causes)."""
+    _check_chain_against_perlane(num_ports, queue_size, with_l3, channels, rounds)
+
+
+def test_blocked_l2_refuses_store_batch_without_lower_calls(monkeypatch):
+    """With the DRAM queue full, a 32-lane store batch into an L1 over an L2
+    makes no ``_CachePort.request_write`` call, yet charges every level what
+    the per-lane chain charges: L1 and L2 bank conflicts and lower-level
+    refusals, and one DRAM rejection per lane the L2 forwards."""
+    from repro.cache.hierarchy import _CachePort
+    from repro.mem.dram import MemRequest
+
+    pair = [_chain(8, 4, with_l3=False)[0] for _ in range(2)]
+    for mem in pair:
+        # A read miss takes an L1 port and an L2 port on line 0 this cycle,
+        # then stores fill the rest of the DRAM queue.
+        assert mem.dcache(0).send_raw(0, False, "r")
+        while mem.dram.can_accept:
+            mem.dram.send(MemRequest(address=1 << 20, is_write=True))
+    reference, batched = pair[0].dcache(0), pair[1].dcache(0)
+    # 32 lanes over 8 lines; lines 4 and 2 share line 0's L1 and L2 banks.
+    addresses = [line * 64 + lane * 4 for line in range(8) for lane in range(4)]
+    entries = _entries_for(batched, addresses)
+
+    calls = []
+    request_write = _CachePort.request_write
+
+    def spy(self, cache, address):
+        calls.append(address)
+        return request_write(self, cache, address)
+
+    monkeypatch.setattr(_CachePort, "request_write", spy)
+    bat_out = batched.send_batch(list(entries), 32, True, "t")
+    assert calls == []
+    ref_out = _perlane_reference(reference, list(entries), 32, True, "t")
+    assert calls  # the per-lane loop runs the full L1 -> L2 -> DRAM chain
+    assert bat_out == ref_out == (0, entries, 32)
+    assert _chain_state(pair[0]) == _chain_state(pair[1])
+    counters = pair[1].counters()
+    assert counters["dcache0"]["bank_conflicts"] > 0
+    assert counters["l2_0"]["bank_conflicts"] > 0
+    assert counters["l2_0"]["memq_stalls"] > 0
+    assert counters["dram"]["rejected"] == counters["l2_0"]["memq_stalls"]

@@ -253,3 +253,42 @@ def test_port_stall_regime_bit_identical(kernel, size):
         other_report, other_events = run(f"simx:{knob},{traced}")
         assert diff_execution_reports(other_report, report) == [], knob
         assert other_events == events, knob
+
+
+# -- multi-core L2 store storm: blocked write-throughs refused in bulk ---------------------
+
+
+@pytest.mark.parametrize("num_cores", [2, 4])
+def test_multicore_l2_store_storm_bit_identical(num_cores):
+    """Cores sharing an L2 over a full DRAM queue: every L1 store batch is
+    refused by the L2 in one step (untraced) or per lane through the whole
+    L1 -> L2 -> DRAM chain (traced, per-lane or fully ticked).  Reports and
+    the per-attempt dcache/l2/dram event streams must not tell them apart."""
+    from repro.kernels import KERNELS
+    from repro.trace.events import expand_skips
+
+    config = VortexConfig(
+        num_cores=num_cores,
+        enable_l2=True,
+        dcache=CacheConfig(size=64 * 1024, num_banks=8, num_ports=8),
+        memory=MemoryConfig(latency=10),
+    ).with_warps_threads(4, 32)
+
+    def run(spec):
+        device = VortexDevice(config, driver=spec)
+        run = KERNELS["sgemm"]().run(device, size=8 * 8)
+        assert run.passed
+        sink = device.driver.trace_sink
+        return run.report, expand_skips(sink.events) if sink is not None else None
+
+    report, _ = run("simx")
+    assert report.counters["l2_0"].get("memq_stalls", 0) > 0
+    traced = "trace=mem,trace_channels=dcache+l2+dram"
+    _, events = run(f"simx:{traced}")
+    assert events
+    for knob in ("requests=perlane", "fastforward=off"):
+        other_report, _ = run(f"simx:{knob}")
+        assert diff_execution_reports(other_report, report) == [], knob
+        traced_report, other_events = run(f"simx:{knob},{traced}")
+        assert diff_execution_reports(traced_report, report) == [], knob
+        assert other_events == events, knob
