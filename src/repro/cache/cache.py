@@ -431,7 +431,7 @@ class NonBlockingCache:
         for _first_line, count in accepts.values():
             if count >= num_ports:
                 full_banks += 1
-        if full_banks >= num_banks and budget > 0:
+        if full_banks >= num_banks and budget > 0 and total:
             counters["attempts"] += total
             counters["bank_conflicts"] += total
             if trace is not None:

@@ -122,7 +122,7 @@ class SharedMemory:
         accept_kind = "write" if is_write else "read"
         # Saturation fast path: one accept per bank per cycle, so once every
         # bank has accepted, the rest of the batch refuses in bulk.
-        if len(accepts) >= num_banks and budget > 0:
+        if len(accepts) >= num_banks and budget > 0 and requests:
             total = len(requests)
             counters["attempts"] += total
             counters["bank_conflicts"] += total

@@ -1,7 +1,7 @@
 """Tests for the non-blocking multi-banked cache subsystem."""
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.bank import CacheBank
@@ -698,6 +698,11 @@ def _check_runs_against_perlane(num_banks, num_ports, mshr_size, lower_kind, rou
     mshr_size=st.sampled_from([1, 2, 4]),
     lower_kind=_run_lowers,
     rounds=_run_rounds,
+)
+# An empty batch into a saturated cache charges nothing, not even a zero count.
+@example(
+    num_banks=1, num_ports=2, mshr_size=1, lower_kind=("scripted", 0),
+    rounds=[([(True, 2, [(0, 2)]), (False, 1, [])], False)],
 )
 def test_send_batch_runs_match_perlane_property(
     num_banks, num_ports, mshr_size, lower_kind, rounds
