@@ -1,7 +1,7 @@
-"""Scheduler-policy stall forensics: *why* the policy sweep rows differ.
+"""Scheduler-policy stall forensics: each policy's cycles, and *why* they differ.
 
-Runs the ``scheduler_policy_sweep`` scenario (sgemm, 8 wavefronts x 4
-threads, one dcache port, 100-cycle memory) under every scheduler policy
+Runs one stall-heavy scenario (sgemm, 8 wavefronts x 4 threads, one
+dcache port, 100-cycle memory) under every scheduler policy
 with the trace bus recording the scheduler channel, folds each event
 stream into a per-kind cycle breakdown
 (:func:`repro.trace.attribution.attribute_stalls`), and writes the
@@ -32,7 +32,7 @@ from repro.runtime.device import VortexDevice
 from repro.trace.attribution import attribute_stalls
 from repro.trace.events import expand_skips
 
-#: The ``scheduler_policy_sweep`` scenario (see benchmarks/perf_smoke.py).
+#: Stall-heavy enough (one dcache port, 100-cycle memory) that the policies diverge.
 KERNEL, SIZE, WARPS, THREADS = "sgemm", 24 * 24, 8, 4
 
 #: The two policies whose gap the report attributes.
@@ -92,8 +92,8 @@ def render_report(breakdowns: dict[str, dict[str, Any]]) -> str:
     lines = [
         "# Scheduler-policy stall forensics",
         "",
-        "Deterministic trace-bus attribution for the `scheduler_policy_sweep`",
-        f"scenario in `BENCH_timing.json`: **{KERNEL}** size={SIZE}, "
+        "Deterministic trace-bus attribution of every scheduler policy on one",
+        f"stall-heavy scenario: **{KERNEL}** size={SIZE}, "
         f"{WARPS} wavefronts x {THREADS} threads, 16KB/4-bank/1-port dcache, "
         "100-cycle single-word memory.",
         "",

@@ -112,7 +112,7 @@ def main() -> None:
     print("  occupied screen tiles   :", int(stats["occupied"]), "of", int(stats["tiles"]))
     print(f"  draw wall-clock         : scalar {contexts['scalar'].draw_seconds * 1e3:.1f} ms, "
           f"vector {contexts['vector'].draw_seconds * 1e3:.1f} ms "
-          "(single runs; see BENCH_graphics.json for best-of-N)")
+          "(single runs; see BENCH_smoke.json for best-of-N)")
     print()
     device_texture_comparison()
 

@@ -532,7 +532,7 @@ class DifferentialReport:
         )
 
     def to_payload(self) -> dict[str, Any]:
-        """A JSON-ready payload (consumed by ``benchmarks/check_regression.py``)."""
+        """A JSON-ready payload: per job, its cycles, identity flag, mismatches and errors."""
         rows: list[dict[str, Any]] = []
         for result in self.results:
             # The row's numbers come from the vector run, so attribute them

@@ -13,9 +13,9 @@ Accuracy caveats are the standard ones for checkpoint-sampled simulation:
 every interval starts with cold caches, an empty scoreboard and idle
 scheduler state (cold-start bias), and the functional fast-forward
 serializes warps at scheduling-round granularity rather than modeling
-inter-warp timing.  What the design *does* guarantee — and what
-``benchmarks/checkpoint_smoke.py`` measures — is determinism: the same
-sampled run produces bit-identical interval counters every time.
+inter-warp timing.  What the design *does* guarantee — and what the
+``sampled_sgemm`` row of ``benchmarks/smoke.py`` checks — is determinism: the
+same sampled run produces bit-identical interval counters every time.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class SampledReport:
         return round(self.total_instructions * cycles / instructions)
 
     def to_payload(self) -> dict[str, Any]:
-        """A JSON-ready payload (consumed by ``benchmarks/checkpoint_smoke.py``)."""
+        """A JSON-ready payload (the ``sampled_sgemm`` row of ``benchmarks/smoke.py``)."""
         return {
             "kernel": self.kernel,
             "passed": self.passed,
